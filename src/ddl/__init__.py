@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .multfunc import (CatalogError, MultFunc, catalog_ids, evaluate, make,
                        parse_spec, restrict_coprime, sigma_power_twist)
-from .sieve import (ResourceLimitError, SieveError, SieveSegment, build_segment,
-                    factorize, fold_over_range, primes_up_to, scan_segments,
+from .sieve import (ResourceLimitError, SieveError, primes_up_to, scan_segments,
                     sigma_table)
 from .empirical import (EquidistTally, GridError, ThresholdGrid,
                         WeightedCdfEstimate, empirical_char_function,

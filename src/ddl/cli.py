@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .multfunc import CatalogError, catalog_entries, parse_spec
 from .sieve import (DEFAULT_SEGMENT_SIZE, ResourceLimitError, SieveError,
-                    cache_dir_from_env, scan_segments, write_segment_cache)
+                    scan_segments, write_segment_cache)
 from .empirical import (GridError, ThresholdGrid, equidist_tally,
                         estimate_normalized_cdf, estimate_weighted_cdf,
                         lattice_circle_cdf, partial_summation_check,
@@ -36,6 +37,11 @@ from .inversion import InversionError, invert, sup_distance
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
+
+# The sigma cache directory read by every sieving subcommand and written by
+# sieve-cache when --dir is not given.  The library itself reads no
+# environment: it uses a cache only when passed cache_dir.
+CACHE_ENV_VAR = "DDL_CACHE_DIR"
 
 
 def _int_arg(s: str) -> int:
@@ -145,18 +151,20 @@ def _cmd_catalog(args, t0):
 
 
 def _cmd_sieve_cache(args, t0):
-    cache_dir = args.dir or cache_dir_from_env()
+    cache_dir = args.dir or os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
-        raise SieveError("no cache directory: pass --dir or set DDL_CACHE_DIR")
+        raise SieveError(f"no cache directory: pass --dir or set {CACHE_ENV_VAR}")
     written = []
-    for chunk in scan_segments(args.x, segment_size=args.segment_size, cache_dir=None):
+    # sieves every segment: an existing cache is never copied into a new one
+    for chunk in scan_segments(args.x, segment_size=args.segment_size, workers=args.workers):
         written.append(str(write_segment_cache(cache_dir, chunk.lo, chunk.hi, chunk.sigma)))
     _emit_json({"meta": _meta(args, t0), "written": written}, args.out)
     return EXIT_OK
 
 
 def _common_kwargs(args):
-    return {"segment_size": args.segment_size, "workers": args.workers}
+    return {"segment_size": args.segment_size, "workers": args.workers,
+            "cache_dir": os.environ.get(CACHE_ENV_VAR) or None}
 
 
 def _cmd_estimate(args, t0):
@@ -313,6 +321,24 @@ def _add_common(p: argparse.ArgumentParser, out=True):
         p.add_argument("--out", default=None, help="output file (stdout when omitted)")
 
 
+_P = ("--P", {"type": _int_arg, "required": True})
+_X = ("--x", {"type": _int_arg, "required": True})
+
+# analytic op -> its flags besides --f and --out
+ANALYTIC_FLAGS = {
+    "mean": (_P,),
+    "wirsing": (_X, ("--P", {"type": _int_arg, "default": None})),
+    "psi": (("--t", {"required": True, "help": "comma list or linspace:a,b,n"}), _P,
+            ("--J", {"type": int, "default": None})),
+    "kappa": (_X,),
+    "halasz": (("--beta", {"type": float, "required": True}), _P),
+    "jumps": (_P,),
+    "witness": (("--v", {"type": _fraction_arg, "required": True}),
+                ("--u", {"type": _fraction_arg, "required": True}),
+                ("--p-cap", {"dest": "p_cap", "type": _int_arg, "default": 100_000})),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ddl", description=__doc__)
     ap.add_argument("--version", action="version", version=f"ddl {__version__}")
@@ -324,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve-cache", help="precompute binary sigma caches")
     p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--dir", default=None, help="cache directory (default: DDL_CACHE_DIR)")
+    p.add_argument("--dir", default=None, help=(
+        f"cache directory (default: {CACHE_ENV_VAR}); a cache is read only by runs "
+        "at the --segment-size it was written with"))
     _add_common(p)
     p.set_defaults(func=_cmd_sieve_cache)
 
@@ -372,53 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="Euler products, prime sums, witnesses")
     asub = p.add_subparsers(dest="analytic_op", required=True)
 
-    q = asub.add_parser("mean")
-    q.add_argument("--f", required=True)
-    q.add_argument("--P", type=_int_arg, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_analytic)
-
-    q = asub.add_parser("wirsing")
-    q.add_argument("--f", required=True)
-    q.add_argument("--x", type=_int_arg, required=True)
-    q.add_argument("--P", type=_int_arg, default=None)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_analytic)
-
-    q = asub.add_parser("psi")
-    q.add_argument("--f", required=True)
-    q.add_argument("--t", required=True, help="comma list or linspace:a,b,n")
-    q.add_argument("--P", type=_int_arg, required=True)
-    q.add_argument("--J", type=int, default=None)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_analytic)
-
-    q = asub.add_parser("kappa")
-    q.add_argument("--f", required=True)
-    q.add_argument("--x", type=_int_arg, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_analytic)
-
-    q = asub.add_parser("halasz")
-    q.add_argument("--f", required=True)
-    q.add_argument("--beta", type=float, required=True)
-    q.add_argument("--P", type=_int_arg, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_analytic)
-
-    q = asub.add_parser("jumps")
-    q.add_argument("--f", required=True)
-    q.add_argument("--P", type=_int_arg, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_analytic)
-
-    q = asub.add_parser("witness")
-    q.add_argument("--f", required=True)
-    q.add_argument("--v", type=_fraction_arg, required=True)
-    q.add_argument("--u", type=_fraction_arg, required=True)
-    q.add_argument("--p-cap", dest="p_cap", type=_int_arg, default=100_000)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_analytic)
+    for op, flags in ANALYTIC_FLAGS.items():
+        q = asub.add_parser(op)
+        q.add_argument("--f", required=True)
+        for flag, kwargs in flags:
+            q.add_argument(flag, **kwargs)
+        q.add_argument("--out", default=None)
+        q.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("invert", help="invert the characteristic-function product")
     p.add_argument("--f", required=True)

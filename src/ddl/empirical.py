@@ -216,16 +216,22 @@ def _finalize(hist, m):
     return raw, total
 
 
-def estimate_weighted_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = None, *,
-                          segment_size=None, workers=1, cache_dir=None) -> WeightedCdfEstimate:
-    """One-pass estimate of (1/x) sum_{n<=x, n/sigma(n)<=u} f(n) over the grid."""
+def _threshold_sums(f, x, grid, **scan_kw):
+    """(x, grid, raw, total): the grid's accumulated sums of f and S(f;x), one pass."""
     x = int(x)
     if grid is None:
         grid = ThresholdGrid.default()
     _check_threshold_products(x, grid)
-    hist = _histogram(f, x, grid, segment_size=segment_size, workers=workers,
-                      cache_dir=cache_dir)
-    raw, _ = _finalize(hist, len(grid))
+    hist = _histogram(f, x, grid, **scan_kw)
+    raw, total = _finalize(hist, len(grid))
+    return x, grid, raw, total
+
+
+def estimate_weighted_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = None, *,
+                          segment_size=None, workers=1, cache_dir=None) -> WeightedCdfEstimate:
+    """One-pass estimate of (1/x) sum_{n<=x, n/sigma(n)<=u} f(n) over the grid."""
+    x, grid, raw, _ = _threshold_sums(f, x, grid, segment_size=segment_size,
+                                     workers=workers, cache_dir=cache_dir)
     return WeightedCdfEstimate(f.spec_string(), x, grid, raw, float(x), "df")
 
 
@@ -234,13 +240,8 @@ def estimate_normalized_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = No
     """Self-normalized estimate: same sums divided by S(f;x) from the same pass."""
     if not f.nonneg:
         raise ValueError(f"self-normalized mode needs a nonnegative function, not {f.id}")
-    x = int(x)
-    if grid is None:
-        grid = ThresholdGrid.default()
-    _check_threshold_products(x, grid)
-    hist = _histogram(f, x, grid, segment_size=segment_size, workers=workers,
-                      cache_dir=cache_dir)
-    raw, total = _finalize(hist, len(grid))
+    x, grid, raw, total = _threshold_sums(f, x, grid, segment_size=segment_size,
+                                          workers=workers, cache_dir=cache_dir)
     normalizer = float(total.real if np.iscomplexobj(total) else total)
     if normalizer == 0.0:
         raise ValueError(f"S(f;x) = 0 for f = {f.id}, x = {x}")

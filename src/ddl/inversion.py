@@ -39,6 +39,8 @@ __all__ = ["InversionError", "InvertedCdf", "CdfComparison", "invert", "sup_dist
 DEFAULT_T = 200.0
 DEFAULT_STEP = 0.05
 DEFAULT_SLACK = 0.02
+# The slack is promised at |x0| >= RESOLVED_WIDTH / T (and at x0 = 0).
+RESOLVED_WIDTH = 1.5
 
 
 class InversionError(ValueError):
@@ -182,15 +184,22 @@ class CdfComparison:
 
 
 def sup_distance(estimate: WeightedCdfEstimate, inverted: InvertedCdf) -> CdfComparison:
-    """Max |empirical - inverted| over the estimate's positive log thresholds.
+    """Max |empirical - inverted| over the estimate's positive log thresholds
+    where the inversion promises its slack: u = 1, and |log u| >= 1.5/T.
 
-    The inverted curve is interpolated linearly onto the estimate's points;
-    the supports must overlap.
+    Thresholds with 0 < |log u| < 1.5/T are left out, because there a
+    kernel of width ~1/T cannot resolve the mass piled up at the support
+    edge (see the module docstring).  The inverted curve is interpolated
+    linearly onto the estimate's points; the supports must overlap.
     """
     logs, emp = estimate.log_cdf()
     lo, hi = float(inverted.points[0]), float(inverted.points[-1])
     if logs[-1] < lo or logs[0] > hi:
         raise InversionError("estimate and inverted curve have disjoint supports")
+    keep = (logs == 0.0) | (np.abs(logs) >= RESOLVED_WIDTH / inverted.T)
+    logs, emp = logs[keep], emp[keep]
+    if logs.size == 0:
+        raise InversionError(f"no threshold at u = 1 or |log u| >= {RESOLVED_WIDTH}/T")
     inv = np.interp(logs, inverted.points, inverted.values)
     diff = np.abs(emp - inv)
     k = int(np.argmax(diff))

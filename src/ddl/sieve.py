@@ -1,6 +1,6 @@
-"""Segmented sieve producing exact sum-of-divisors and smallest-prime-factor
-tables, plus a streaming evaluator that folds a multiplicative function over
-[1, x] one cache-friendly segment at a time.
+"""Segmented sieve producing exact sum-of-divisors tables, plus a streaming
+scan that hands [1, x] to accumulators one cache-friendly segment at a time,
+optionally with f(n) and Omega(n) for each n.
 
 sigma(n) is kept as an exact int64 throughout so that threshold tests of the
 form n * den <= num * sigma(n) can be decided in integer arithmetic; floating
@@ -11,12 +11,13 @@ passes (about sum_{p <= sqrt(x)} 1/p ~ 2.5 element-ops per n).
 
 Segments are independent work units; with workers > 1 they are computed by a
 thread pool and merged in segment order, so results do not depend on the
-worker count.
+worker count.  A sigma cache is used only when the caller names its
+directory; cache files are keyed by exact segment bounds, so a cache serves
+only scans at the segment size it was written with.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -33,15 +34,10 @@ __all__ = [
     "ResourceLimitError",
     "DEFAULT_SEGMENT_SIZE",
     "SIEVE_LIMIT",
-    "SieveSegment",
     "ScanChunk",
     "primes_up_to",
-    "build_segment",
-    "factorize",
     "scan_segments",
-    "fold_over_range",
     "sigma_table",
-    "cache_dir_from_env",
     "write_segment_cache",
     "read_segment_cache",
 ]
@@ -57,11 +53,12 @@ CACHE_MAGIC = b"SGMA"
 CACHE_VERSION = 1
 _CACHE_HEADER = struct.Struct("<4sIII")  # magic, version, lo, hi  (16 bytes)
 
-CACHE_ENV_VAR = "DDL_CACHE_DIR"
+# Largest dense sigma table sigma_table will allocate.
+SIGMA_TABLE_BUDGET_BYTES = 2_000_000_000
 
 
 class SieveError(ValueError):
-    """Invalid sieve request (bounds, coverage, out-of-segment access)."""
+    """Invalid sieve request (bounds, segment size, cache directory)."""
 
 
 class ResourceLimitError(SieveError):
@@ -165,76 +162,6 @@ def _segment_tables(lo, hi, primes, fdesc, want_omega, sigma_known=None):
 
 
 @dataclass(frozen=True)
-class SieveSegment:
-    """Tables for a contiguous range [lo, hi]: exact sigma and smallest prime factor."""
-    lo: int
-    hi: int
-    sigma: np.ndarray  # int64, sigma(n) for n in [lo, hi]
-    spf: np.ndarray    # int64, smallest prime factor (spf(1) = 1)
-
-    def sigma_of(self, n: int) -> int:
-        if not (self.lo <= n <= self.hi):
-            raise SieveError(f"{n} outside segment [{self.lo}, {self.hi}]")
-        return int(self.sigma[n - self.lo])
-
-
-def build_segment(lo: int, hi: int, primes=None, *, with_spf: bool = True) -> SieveSegment:
-    """Sieve [lo, hi]: exact sigma table plus (optionally) the spf table.
-
-    primes must cover sqrt(hi); pass None to have them generated.
-    """
-    lo, hi = int(lo), int(hi)
-    _check_bounds(lo, hi)
-    root = isqrt(hi)
-    if primes is None:
-        primes = primes_up_to(root)
-    else:
-        primes = np.asarray(primes, dtype=np.int64)
-        needed = primes_up_to(root)
-        if needed.size and (primes.size == 0 or int(primes[-1]) < int(needed[-1])):
-            raise SieveError(f"base primes must cover sqrt(hi) = {root}")
-    n, sigma, _, _ = _segment_tables(lo, hi, primes, None, False)
-    spf = None
-    if with_spf:
-        size = n.size
-        spf = np.zeros(size, dtype=np.int64)
-        for p_ in primes[::-1]:
-            p = int(p_)
-            if p * p > hi:
-                continue
-            s1 = (-lo) % p
-            if s1 < size:
-                spf[s1::p] = p
-        left = spf == 0
-        spf[left] = n[left]  # primes above sqrt(hi), and spf(1) = 1
-    return SieveSegment(lo, hi, sigma, spf)
-
-
-def factorize(n: int, segment: SieveSegment) -> list[tuple[int, int]]:
-    """Complete factorization of n by repeated smallest-prime-factor division.
-
-    Every intermediate quotient must lie inside the segment, so this is meant
-    for segments starting at 1.
-    """
-    n = int(n)
-    if not (segment.lo <= n <= segment.hi):
-        raise SieveError(f"{n} outside segment [{segment.lo}, {segment.hi}]")
-    if segment.spf is None:
-        raise SieveError("segment was built without an spf table")
-    out = []
-    while n > 1:
-        if not (segment.lo <= n <= segment.hi):
-            raise SieveError(f"quotient {n} left the segment; factorize needs lo = 1")
-        p = int(segment.spf[n - segment.lo])
-        j = 0
-        while n % p == 0:
-            n //= p
-            j += 1
-        out.append((p, j))
-    return out
-
-
-@dataclass(frozen=True)
 class ScanChunk:
     """One segment's worth of per-n data handed to accumulators."""
     lo: int
@@ -243,10 +170,6 @@ class ScanChunk:
     sigma: np.ndarray    # int64
     fvals: np.ndarray | None   # f(n) per n, None when f is identically 1
     omega: np.ndarray | None   # Omega(n) per n when requested
-
-
-def cache_dir_from_env() -> str | None:
-    return os.environ.get(CACHE_ENV_VAR) or None
 
 
 def _cache_path(cache_dir, lo, hi) -> Path:
@@ -296,14 +219,14 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
 
     f = None (or the constant-1 entry) skips the f-evaluation pass.  The
     chunk sequence is identical for any segment_size and worker count.
+    cache_dir = None reads no cache; otherwise each segment's sigma is read
+    from cache_dir when a valid file for its exact bounds is there.
     """
     x = int(x)
     _check_bounds(1, x)
     size = int(segment_size or DEFAULT_SEGMENT_SIZE)
     if size < 16:
         raise SieveError("segment_size must be >= 16")
-    if cache_dir is None:
-        cache_dir = cache_dir_from_env()
     fdesc = None if (f is None or f.is_one) else f
     primes = primes_up_to(isqrt(x))
     bounds = [(lo, min(lo + size - 1, x)) for lo in range(1, x + 1, size)]
@@ -327,38 +250,16 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
             yield fut.result()
 
 
-def fold_over_range(f: MultFunc, x: int, visitor, *, combine=None,
-                    segment_size: int | None = None, workers: int = 1,
-                    cache_dir: str | None = None):
-    """Visit every n <= x once with (n, sigma(n), f(n)) arrays and merge results.
-
-    visitor(n, sigma, fvals) -> partial result per segment; partials are merged
-    in segment order with combine (default: +).  combine must be associative.
-    """
-    parts = []
-    for chunk in scan_segments(x, f=f, segment_size=segment_size, workers=workers,
-                               cache_dir=cache_dir):
-        fv = chunk.fvals
-        if fv is None:
-            fv = np.broadcast_to(np.float64(1.0), chunk.n.shape)
-        parts.append(visitor(chunk.n, chunk.sigma, fv))
-    if combine is None:
-        combine = lambda a, b: a + b
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = combine(acc, part)
-    return acc
-
-
 def sigma_table(x: int, *, segment_size: int | None = None, workers: int = 1,
-                cache_dir: str | None = None, memory_limit_bytes: int = 2_000_000_000) -> np.ndarray:
+                cache_dir: str | None = None) -> np.ndarray:
     """Exact sigma(n) for 0 <= n <= x as one int64 array (sigma[0] = 0)."""
     x = int(x)
     _check_bounds(1, x)
     need = (x + 1) * 8
-    if need > memory_limit_bytes:
+    if need > SIGMA_TABLE_BUDGET_BYTES:
         raise ResourceLimitError(
-            f"sigma table for x = {x} needs {need / 1e9:.1f} GB, over the {memory_limit_bytes / 1e9:.1f} GB budget")
+            f"sigma table for x = {x} needs {need / 1e9:.1f} GB, "
+            f"over the {SIGMA_TABLE_BUDGET_BYTES / 1e9:.1f} GB budget")
     out = np.zeros(x + 1, dtype=np.int64)
     for chunk in scan_segments(x, segment_size=segment_size, workers=workers, cache_dir=cache_dir):
         out[chunk.lo: chunk.hi + 1] = chunk.sigma

@@ -5,7 +5,6 @@ them all).  Tolerances are pinned here and never loosened at runtime; the
 expensive sieve passes are shared through module-scoped fixtures.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -193,22 +192,17 @@ def test_07_char_function_match():
 # ---------------------------------------------------------------------------
 
 def test_08_inversion_round_trip_sup(est_one_x7, profile_x6):
-    # The inversion promises its 0.02 slack at |log u| >= 1.5/T only (see the
+    # sup_distance takes the sup where the inversion promises its 0.02 slack:
+    # u = 1, where it returns the total mass, and |log u| >= 1.5/T (see the
     # inversion module docstring).  Nearer the support edge the law keeps
     # ~1/log(1/eps) of its mass within eps of 0, which a kernel of width 1/T
     # cannot resolve: the default grid's point log(199/200) = -1.0025/T is
     # off by 0.0209 at T = 200, but the sup over all points falls to 0.0141
     # at T = 400, so the excess there is resolution, not bias.  That point
-    # stays covered by test_inversion.test_quadrature_self_consistency.  The
-    # edge u = 1 itself is kept: there the inversion returns the total mass.
-    T = 200.0
-    grid = est_one_x7.grid
-    keep = [k for k, u in enumerate(grid) if u == 1 or (u > 0 and -math.log(u) >= 1.5 / T)]
-    resolved = dataclasses.replace(est_one_x7, grid=ThresholdGrid(grid.fractions[k] for k in keep),
-                                   raw=est_one_x7.raw[keep])
-    logs, _ = resolved.log_cdf()
-    inv = invert(profile_x6, logs, T=T, step=0.05)
-    rep = sup_distance(resolved, inv)
+    # stays covered by test_inversion.test_quadrature_self_consistency.
+    logs, _ = est_one_x7.log_cdf()
+    inv = invert(profile_x6, logs, T=200.0, step=0.05)
+    rep = sup_distance(est_one_x7, inv)
     report("08 inversion-sup-distance", rep.sup_distance <= 0.02,
            f"sup |F_inv - F_emp| over u = 1 and |log u| >= 1.5/T = {rep.sup_distance:.4f} "
            f"at log u = {rep.at_point:.4f} (tolerance 0.02)")

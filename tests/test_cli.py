@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ddl.cli import main
+from ddl.sieve import read_segment_cache, sigma_table, write_segment_cache
 
 import oracles
 
@@ -205,6 +209,19 @@ def test_sieve_cache_cli(tmp_path):
             os.environ["DDL_CACHE_DIR"] = env_backup
 
 
+def test_sieve_cache_sieves_instead_of_copying(tmp_path, monkeypatch):
+    # a damaged file with a valid header and the right length in the
+    # DDL_CACHE_DIR directory must not end up in the new cache
+    x = 10 ** 6
+    expect = sigma_table(x)[1:x + 1]
+    old, new = tmp_path / "old", tmp_path / "new"
+    write_segment_cache(old, 1, x, np.zeros(x, dtype=np.int64))
+    monkeypatch.setenv("DDL_CACHE_DIR", str(old))
+    assert run_cli("sieve-cache", "--x", str(x), "--dir", str(new),
+                   "--out", str(tmp_path / "w.json")) == 0
+    assert np.array_equal(read_segment_cache(new, 1, x), expect)
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run_cli("estimate", "--f", "nonexistent", "--x", "100") == 2
     assert "unknown catalog id" in capsys.readouterr().err
@@ -231,3 +248,27 @@ def test_workers_flag_deterministic(tmp_path):
     run_cli("estimate", "--f", "mu", "--x", "300000", "--segment-size", "65536",
             "--workers", "4", "--out", str(b))
     assert data_rows(a.read_text()) == data_rows(b.read_text())
+    for workers in ("1", "2"):
+        assert run_cli("sieve-cache", "--x", "300000", "--segment-size", "65536",
+                       "--workers", workers, "--dir", str(tmp_path / f"w{workers}"),
+                       "--out", str(tmp_path / f"w{workers}.json")) == 0
+    files = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    assert len(files) == 5
+    for name in files:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def test_traced_benchmark_call(tmp_path):
+    # the benchmark's tracer wraps library functions by name; a rename
+    # must break this test rather than the traced benchmark
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, str(root / "benchmarks" / "tracing.py"), str(spans),
+                           "estimate", "--f", "one", "--x", "1e4",
+                           "--out", str(tmp_path / "est.csv")],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans.read_text())
+    assert trace["spans"]
+    assert trace["counts"]["sieve.passes"] == 1

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ddl
+from ddl.cli import main as cli_main
 from ddl.empirical import (GridError, ThresholdGrid, empirical_char_function,
                            equidist_tally, estimate_normalized_cdf,
                            estimate_weighted_cdf, lattice_circle_cdf,
@@ -224,6 +226,34 @@ def test_estimate_segment_and_worker_invariance():
     a = estimate_weighted_cdf(make("tau"), 50000, grid, segment_size=997)
     b = estimate_weighted_cdf(make("tau"), 50000, grid, segment_size=16384, workers=3)
     assert np.array_equal(a.raw, b.raw)
+
+
+PROPERTY_X = 3000
+PROPERTY_SIGMA = oracles.sigma_table_brute(PROPERTY_X)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(x=st.integers(1, PROPERTY_X),
+       thresholds=st.sets(st.fractions(0, 1, max_denominator=60), min_size=1, max_size=12),
+       segment_size=st.integers(16, 2 * PROPERTY_X),
+       workers=st.sampled_from([1, 2]),
+       cached=st.booleans())
+def test_raw_counts_independent_of_scan_layout(tmp_path_factory, x, thresholds,
+                                               segment_size, workers, cached):
+    # output must not depend on segment size, worker count or cache state
+    grid = ThresholdGrid(sorted(thresholds))
+    cache_dir = None
+    if cached:
+        cache_dir = tmp_path_factory.mktemp("sigma_cache")
+        assert cli_main(["sieve-cache", "--x", str(x), "--segment-size", str(segment_size),
+                         "--dir", str(cache_dir),
+                         "--out", str(cache_dir / "written.json")]) == 0
+    est = estimate_weighted_cdf(ONE, x, grid, segment_size=segment_size,
+                                workers=workers, cache_dir=cache_dir)
+    first = [oracles.brute_first_qualifying(n, int(PROPERTY_SIGMA[n]), grid.fractions)
+             for n in range(1, x + 1)]
+    expected = np.cumsum(np.bincount(first, minlength=len(grid) + 1))[:len(grid)]
+    assert est.raw_counts().tolist() == expected.tolist()
 
 
 def test_resource_refusals():

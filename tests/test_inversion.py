@@ -1,6 +1,7 @@
 """Characteristic-function inversion: synthetic laws, round trips, distances."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,26 @@ def test_sup_distance_properties():
     # point mass is far from the ratio law
     inv_pm = invert(flat_profile(), logs)
     assert sup_distance(est7, inv_pm).sup_distance >= 0.2
+
+
+def test_sup_distance_skips_only_the_unresolved_edge_zone():
+    # the inversion promises its slack at u = 1 and at |log u| >= 1.5/T only
+    est = estimate_weighted_cdf(ONE, 10 ** 4)
+    logs, vals = est.log_cdf()
+    near_edge = (logs < 0) & (np.abs(logs) < 1.5 / 200.0)
+    assert np.count_nonzero(near_edge) == 1  # log(199/200)
+    wrong_near = np.where(near_edge, vals - 0.5, vals)
+    fake = ddl.InvertedCdf(logs, wrong_near, wrong_near, 0.02, 200.0, 0.05, 0.0, False, False)
+    assert sup_distance(est, fake).sup_distance == 0.0
+    wrong_at_one = np.where(logs == 0.0, vals - 0.5, vals)
+    fake = ddl.InvertedCdf(logs, wrong_at_one, wrong_at_one, 0.02, 200.0, 0.05, 0.0, False, False)
+    rep = sup_distance(est, fake)
+    assert rep.sup_distance == pytest.approx(0.5)
+    assert rep.at_point == 0.0
+    # a grid with no point where the slack is promised has no sup to report
+    edge_only = estimate_weighted_cdf(ONE, 10 ** 4, ThresholdGrid([Fraction(199, 200)]))
+    with pytest.raises(InversionError):
+        sup_distance(edge_only, fake)
 
 
 def test_profile_grid_validation():

@@ -1,16 +1,23 @@
-"""Sieve correctness: exact sigma/spf tables, folds against independent oracles."""
+"""Sieve correctness: exact sigma tables and segment scans against independent oracles."""
 
 import numpy as np
 import pytest
 
-import ddl
-from ddl.multfunc import evaluate, make
+from ddl.multfunc import evaluate, make, trial_factorize
 from ddl.sieve import (ResourceLimitError, SIEVE_LIMIT, SieveError,
-                       build_segment, factorize, fold_over_range,
                        primes_up_to, read_segment_cache, scan_segments,
                        sigma_table, write_segment_cache)
 
 import oracles
+
+
+def scan_sum(f, x, per_chunk, **scan_kw):
+    """Sum per_chunk(chunk) over every segment of [1, x]."""
+    return sum(per_chunk(chunk) for chunk in scan_segments(x, f=f, **scan_kw))
+
+
+def f_sum(chunk):
+    return chunk.fvals.sum()
 
 
 def test_primes_up_to():
@@ -21,11 +28,10 @@ def test_primes_up_to():
 
 
 def test_segment_examples():
-    seg = build_segment(1, 20)
-    assert seg.sigma_of(12) == 28
-    assert seg.sigma_of(1) == 1
-    seg2 = build_segment(10 ** 6, 10 ** 6)
-    v = seg2.sigma_of(10 ** 6)
+    table = sigma_table(20)
+    assert table[12] == 28
+    assert table[1] == 1
+    v = int(sigma_table(10 ** 6)[10 ** 6])
     assert v == oracles.sigma_brute(10 ** 6)
     assert v == 2480437
 
@@ -38,31 +44,39 @@ def test_sigma_against_divisor_sieve():
 
 
 def test_sigma_offset_segments():
+    # 999_000 - 1 = 179 * 5581, so the last segment is exactly [999_000, 1_000_500]
     lo, hi = 999_000, 1_000_500
-    seg = build_segment(lo, hi)
+    *_, last = scan_segments(hi, segment_size=5581)
+    assert (last.lo, last.hi) == (lo, hi)
+    assert np.array_equal(last.n, np.arange(lo, hi + 1))
     for n in range(lo, hi + 1, 97):
-        assert seg.sigma_of(n) == oracles.sigma_brute(n)
+        assert last.sigma[n - lo] == oracles.sigma_brute(n)
 
 
 def test_spf_and_factorize():
-    seg = build_segment(1, 100_000)
-    assert factorize(360, seg) == [(2, 3), (3, 2), (5, 1)]
-    assert factorize(1, seg) == []
-    assert factorize(9973, seg) == [(9973, 1)]
-    n = np.arange(1, 100_001, dtype=np.int64)
-    assert np.all(n % seg.spf == 0)
+    # the sieve keeps no spf table; the smallest prime factor is the first
+    # factor trial_factorize returns, and it must be a prime of primes_up_to
+    assert trial_factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert trial_factorize(1) == []
+    assert trial_factorize(9973) == [(9973, 1)]
+    primes = primes_up_to(100_000)
+    prime_set = set(primes.tolist())
     for m in range(2, 3000):
-        p = int(seg.spf[m - 1])
+        p = trial_factorize(m)[0][0]
+        assert p in prime_set and m % p == 0, m
         assert all(m % d for d in range(2, p)), m
+    for p in primes[::37]:
+        assert trial_factorize(int(p)) == [(int(p), 1)]
     for m in range(2, 20000, 61):
-        assert factorize(m, seg) == oracles.factor_brute(m)
+        assert trial_factorize(m) == oracles.factor_brute(m)
 
 
 def test_factorization_reconstructs_catalog_values():
-    seg = build_segment(1, 10 ** 4)
+    # factor_brute is trial division written apart from the library;
+    # evaluate() factors with multfunc.trial_factorize
     fs = [make(s) for s in ("tau", "mu", "r", "sigma_over_n")]
     for m in range(1, 10 ** 4 + 1, 17):
-        fac = factorize(m, seg)
+        fac = oracles.factor_brute(m)
         for f in fs:
             via_fac = 1
             for p, j in fac:
@@ -71,14 +85,11 @@ def test_factorization_reconstructs_catalog_values():
 
 
 def test_fold_count_and_sums():
-    one = make("one")
-    assert fold_over_range(one, 100, lambda n, s, fv: n.size) == 100
-    mu = make("mu")
-    mertens = fold_over_range(mu, 10 ** 6, lambda n, s, fv: fv.sum())
+    assert scan_sum(make("one"), 100, lambda c: c.n.size) == 100
+    mertens = scan_sum(make("mu"), 10 ** 6, f_sum)
     brute = int(oracles.mobius_table(10 ** 6).sum())
     assert mertens == brute == 212
-    tau = make("tau")
-    total = fold_over_range(tau, 1000, lambda n, s, fv: fv.sum())
+    total = scan_sum(make("tau"), 1000, f_sum)
     assert total == oracles.tau_partial_sum(1000) == 7069
 
 
@@ -86,19 +97,17 @@ def test_fold_count_and_sums():
 def test_segment_boundary_independence(size):
     mu = make("mu")
     x = 1_500_000
-    val = fold_over_range(mu, x, lambda n, s, fv: fv.sum(), segment_size=size)
-    ref = fold_over_range(mu, x, lambda n, s, fv: fv.sum())
-    assert val == ref
-    csum = fold_over_range(make("one"), x, lambda n, s, fv: int(s.sum()), segment_size=size)
-    cref = fold_over_range(make("one"), x, lambda n, s, fv: int(s.sum()))
-    assert csum == cref
+    assert scan_sum(mu, x, f_sum, segment_size=size) == scan_sum(mu, x, f_sum)
+    sigma_sum = lambda c: int(c.sigma.sum())
+    assert (scan_sum(None, x, sigma_sum, segment_size=size)
+            == scan_sum(None, x, sigma_sum))
 
 
 def test_worker_count_does_not_change_results():
     mu = make("mu")
     x = 2_000_000
-    seq = fold_over_range(mu, x, lambda n, s, fv: fv.sum(), segment_size=123_457)
-    par = fold_over_range(mu, x, lambda n, s, fv: fv.sum(), segment_size=123_457, workers=4)
+    seq = scan_sum(mu, x, f_sum, segment_size=123_457)
+    par = scan_sum(mu, x, f_sum, segment_size=123_457, workers=4)
     assert seq == par
 
 
@@ -110,10 +119,10 @@ def test_omega_values():
 
 
 def test_cache_round_trip(tmp_path):
-    seg = build_segment(1, 4096, with_spf=False)
-    write_segment_cache(tmp_path, 1, 4096, seg.sigma)
+    sigma = sigma_table(4096)[1:]
+    write_segment_cache(tmp_path, 1, 4096, sigma)
     back = read_segment_cache(tmp_path, 1, 4096)
-    assert np.array_equal(back, seg.sigma)
+    assert np.array_equal(back, sigma)
     assert read_segment_cache(tmp_path, 1, 9999) is None
     # scan with the cache produces identical tables
     direct = list(scan_segments(4096, segment_size=4096))
@@ -129,10 +138,11 @@ def test_cache_round_trip(tmp_path):
 
 def test_bounds_and_limits():
     with pytest.raises(SieveError):
-        build_segment(5, 4)
+        sigma_table(0)
+    with pytest.raises(SieveError):
+        next(scan_segments(100, segment_size=15))
     with pytest.raises(ResourceLimitError):
-        build_segment(1, SIEVE_LIMIT + 1)
-    with pytest.raises(SieveError):
-        build_segment(1, 10 ** 6, primes=np.array([2, 3, 5], dtype=np.int64))
-    with pytest.raises(SieveError):
-        factorize(10 ** 6, build_segment(1, 100))
+        next(scan_segments(SIEVE_LIMIT + 1))
+    # refused before anything is allocated: the dense table would need 2.4 GB
+    with pytest.raises(ResourceLimitError, match="over the 2.0 GB budget"):
+        sigma_table(300_000_000)
