@@ -11,7 +11,7 @@ the sieve against the analytic prediction.
 __version__ = "0.1.0"
 
 from .multfunc import (CatalogError, MultFunc, catalog_ids, evaluate, make,
-                       parse_spec, restrict_coprime, sigma_power_twist)
+                       parse_spec, restrict_coprime)
 from .sieve import (ResourceLimitError, SieveError, primes_up_to, scan_segments,
                     sigma_table)
 from .empirical import (EquidistTally, GridError, ThresholdGrid,
@@ -19,10 +19,9 @@ from .empirical import (EquidistTally, GridError, ThresholdGrid,
                         equidist_tally, estimate_normalized_cdf,
                         estimate_weighted_cdf, lattice_circle_cdf,
                         partial_summation_check, smoothed_indicator_mean)
-from .analytic import (CharFnProfile, EulerProductValue, LocalSeries,
-                       WitnessNotFound, char_function, continuity_diagnostic,
-                       greedy_witness, halasz_series, hypothesis_partial_sums,
-                       local_series, mean_value_product, mertens_kappa,
-                       wirsing_prediction)
+from .analytic import (CharFnProfile, EulerProductValue, WitnessNotFound,
+                       char_function, continuity_diagnostic, greedy_witness,
+                       halasz_series, hypothesis_partial_sums,
+                       mean_value_product, mertens_kappa, wirsing_prediction)
 from .inversion import (CdfComparison, InversionError, InvertedCdf, invert,
                         sup_distance)

@@ -17,10 +17,13 @@ valid behaviour from p0 = 11 on (a documented, conservative policy).
 Products are accumulated in log space: each local factor tends to 1, so the
 sum of principal-branch logarithms is well conditioned and cannot underflow.
 
-Per-prime series are truncated at J(p) = ceil(40 / log2 p) + 2 terms, which
-keeps the local truncation at the 1e-12 level uniformly in p; the vector
-kernels additionally drop terms with p^j > 1e17, which are below 1e-14
-relative for every catalog entry.
+All products share one table of these series, built by ``_level_tables``
+one level j at a time over every prime at once.  The truncation rule lives
+in ``_level_bound``: prime p is kept at level j >= 3 only while
+p^(j-2) <= 2^40, so the series at p has J(p) = floor(40 / log2 p) + 2
+terms and its local truncation is at the 1e-12 level uniformly in p; terms
+with p^j > 1e17 are dropped as well, which are below 1e-14 relative for
+every catalog entry.
 """
 
 from __future__ import annotations
@@ -31,16 +34,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .multfunc import MultFunc, sigma_of_prime_power
+from .multfunc import MultFunc
 from .sieve import primes_up_to
 
 __all__ = [
-    "LocalSeries",
     "EulerProductValue",
     "CharFnProfile",
     "WitnessNotFound",
-    "series_cutoff",
-    "local_series",
     "mean_value_product",
     "wirsing_prediction",
     "char_function",
@@ -64,70 +64,6 @@ TERM_CAP = 1e17
 
 class WitnessNotFound(RuntimeError):
     """Greedy witness search exhausted its prime budget; increase p_cap."""
-
-
-def series_cutoff(p: int) -> int:
-    """Default per-prime series cutoff J(p) = ceil(40 / log2 p) + 2."""
-    return math.ceil(40.0 / math.log2(p)) + 2
-
-
-@dataclass(frozen=True)
-class LocalSeries:
-    """Partial local sums at one prime: twisted (at t), plain (t = 0),
-    higher (j >= 2 part of plain), and a crude bound on the dropped tail."""
-    p: int
-    J: int
-    twisted: complex
-    plain: complex
-    higher: complex
-    tail: float
-
-
-def local_series(f: MultFunc, p: int, t: float = 0.0, J: int | None = None) -> LocalSeries:
-    """Local series at prime p through j = J, plus a geometric tail estimate."""
-    p = int(p)
-    if J is None:
-        J = series_cutoff(p)
-    if J < 2:
-        raise ValueError("series cutoff J must be >= 2")
-    twisted = 1.0 + 0.0j
-    plain = 1.0 + 0.0j
-    higher = 0.0 + 0.0j
-    prev_mag = 1.0
-    grow = 0
-    pj = 1
-    for j in range(1, J + 1):
-        pj *= p
-        fv = complex(f.prime_power(p, j))
-        term = fv / pj
-        mag = abs(term)
-        if mag > prev_mag and mag > 1e-15:
-            grow += 1
-            if grow >= 3:
-                raise ValueError(f"local series for {f.id} at p = {p} appears divergent")
-        else:
-            grow = 0
-        prev_mag = max(mag, 1e-300)
-        plain += term
-        if j >= 2:
-            higher += term
-        if t == 0.0:
-            twisted += term
-        else:
-            ratio = pj / sigma_of_prime_power(p, j)
-            twisted += term * complex(math.cos(t * math.log(ratio)),
-                                      math.sin(t * math.log(ratio)))
-    # crude tail: forty more magnitudes plus a geometric remainder
-    tail = 0.0
-    last = 0.0
-    for j in range(J + 1, J + 41):
-        pj *= p
-        if pj > 10 ** 280:
-            break
-        last = abs(complex(f.prime_power(p, j))) / pj
-        tail += last
-    tail += 2.0 * last / p
-    return LocalSeries(p, J, twisted, plain, higher, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +313,10 @@ def greedy_witness(f: MultFunc, v, u, p_cap: int = 100_000) -> int:
     fprod = complex(1.0)
     if ratio <= u:  # only possible when u = 1
         return m
-    for p_ in primes_up_to(int(p_cap)):
+    ps = primes_up_to(int(p_cap))
+    for p_, fp_ in zip(ps, f.at_primes(ps)):
         p = int(p_)
-        fp = complex(f.prime_power(p, 1))
+        fp = complex(fp_)
         if fp == 0:
             continue
         cand = ratio * p / (p + 1)

@@ -274,7 +274,6 @@ def _cmd_invert(args, t0):
     payload = {
         "meta": _meta(args, t0),
         "T": inv.T, "step": inv.step, "eps": inv.eps, "P": args.P,
-        "imag_residue": inv.imag_residue,
         "isotonic_changed": inv.isotonic_changed,
         "slack_exceeded": inv.slack_exceeded,
         "points": [{"x": float(p), "F": float(v), "raw": float(r)}

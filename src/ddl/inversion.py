@@ -5,12 +5,13 @@ The pointwise inversion is the half-line oscillatory integral
 
     F(x0) = 1/2 - (1/pi) integral_0^T Im(e^{-i t x0} psi(t)) / t dt
 
-evaluated by the trapezoid rule on the profile's t grid.  The t -> 0 node is
-handled analytically: the integrand tends to m1 - x0, where m1 (the mean of
-the limiting law) is estimated from the first positive node as Im psi(h)/h.
-When the profile carries a symmetric grid the equivalent two-sided complex
-sum is used instead and the residual imaginary part is reported; for a
-conjugate-symmetric profile it cancels to rounding error.
+evaluated by the trapezoid rule on the profile's t grid, in real form:
+Im(e^{-i t x0} psi) = cos(t x0) Im psi - sin(t x0) Re psi, so the sum is two
+real matrix-vector products.  The t -> 0 node is handled analytically: the
+integrand tends to m1 - x0, where m1 (the mean of the limiting law) is
+estimated from the first positive node as Im psi(h)/h.  This is the only
+quadrature.  A profile on a symmetric grid is read through its t >= 0 half,
+which determines the rest, since psi(-t) = conj(psi(t)) for a real law.
 
 The distribution has no atoms, so pointwise inversion converges at every
 evaluation point, but with no known rate: T and the step are calibrated, not
@@ -61,7 +62,6 @@ class InvertedCdf:
     eps: float
     T: float
     step: float
-    imag_residue: float
     isotonic_changed: bool
     slack_exceeded: bool
 
@@ -115,7 +115,6 @@ def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
         raise InversionError("evaluation points must be strictly increasing")
     ts = np.asarray(profile.ts, dtype=np.float64)
     vals = np.asarray(profile.values, dtype=np.complex128)
-    symmetric = bool(np.any(ts < -1e-9))
 
     # map positive nodes; profile values looked up by index
     order = np.argsort(ts)
@@ -129,30 +128,14 @@ def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
     w = np.full(pos_nodes.size, h)
     w[-1] = h / 2.0
 
-    if not symmetric:
-        # F = 1/2 - (1/pi) [ (h/2)(m1 - x0) + sum w Im(e^{-i t x0} psi)/t ]
-        E = np.exp(-1j * np.outer(points, pos_nodes))
-        integrand = (E * pos_vals).imag / pos_nodes
-        quad = integrand @ w + (h / 2.0) * (m1 - points)
-        raw = 0.5 - quad / math.pi
-        residue = 0.0
-    else:
-        neg_ptr = _nearest_index(ts_sorted, -pos_nodes[::-1], 1e-6)
-        neg_nodes = ts_sorted[neg_ptr]
-        neg_vals = vals_sorted[neg_ptr]
-        nodes = np.concatenate([neg_nodes, pos_nodes])
-        nvals = np.concatenate([neg_vals, pos_vals])
-        ww = np.full(nodes.size, h)
-        nn = neg_nodes.size
-        ww[0] = ww[-1] = h / 2.0          # outer endpoints +-T
-        ww[nn - 1] = ww[nn] = h / 2.0     # gap edges +-h around the center piece
-        E = np.exp(-1j * np.outer(points, nodes))
-        integ = (E * nvals) / (1j * nodes)
-        I = integ @ ww / (2.0 * math.pi)
-        center = h * (m1 - points) / math.pi
-        Fc = 0.5 - I - center
-        raw = Fc.real
-        residue = float(np.max(np.abs(Fc.imag)))
+    # F = 1/2 - (1/pi) [ (h/2)(m1 - x0) + sum w Im(e^{-i t x0} psi)/t ];
+    # one real matrix X = t x0 is reused for the sine, which keeps the peak
+    # memory at two real (points x nodes) arrays
+    X = np.outer(points, pos_nodes)
+    quad = np.cos(X) @ (w * pos_vals.imag / pos_nodes)
+    quad -= np.sin(X, out=X) @ (w * pos_vals.real / pos_nodes)
+    quad += (h / 2.0) * (m1 - points)
+    raw = 0.5 - quad / math.pi
 
     # Right edge of the support: the law of log(n/sigma(n)) lives on
     # (-inf, 0], and its mass within eps of 0 shrinks only like 1/log(1/eps),
@@ -168,7 +151,7 @@ def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
     clipped = np.clip(raw, 0.0, 1.0)
     iso = np.maximum.accumulate(clipped)
     isotonic_changed = bool(np.any(iso != clipped))
-    return InvertedCdf(points, raw, iso, eps, float(T), h, residue,
+    return InvertedCdf(points, raw, iso, eps, float(T), h,
                        isotonic_changed, slack_exceeded)
 
 

@@ -25,17 +25,17 @@ Built-in rules (parameters after the colon):
     principal_character:q=   1 if gcd(n, q) = 1 else 0
     quadratic_character:q=   Legendre symbol (n | q), q an odd prime
 
-Evaluation is exposed three ways: scalar ``prime_power(p, j)``, vectorized
-``at_primes(ps)`` for arrays of primes at exponent 1, and vectorized
-``prime_powers(ps, j)`` at a fixed exponent.  All are pure; descriptors are
-immutable and safe to share between threads.
+Each entry has exactly one rule, vectorized over an array of primes at a
+fixed exponent: ``prime_powers(ps, j)``.  ``at_primes(ps)`` is that rule at
+j = 1, and ``prime_power(p, j)`` is a convenience that calls it on a single
+prime, so the sieve, the Euler products and ``evaluate`` cannot drift apart.
+All are pure; descriptors are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from math import gcd
 
 import numpy as np
 
@@ -46,11 +46,9 @@ __all__ = [
     "catalog_entries",
     "make",
     "parse_spec",
-    "sigma_power_twist",
     "restrict_coprime",
     "evaluate",
     "trial_factorize",
-    "sigma_of_prime_power",
 ]
 
 UNIT_DISC = "unit-disc"
@@ -64,11 +62,6 @@ MAX_POW_PART = 8.0
 
 class CatalogError(ValueError):
     """Unknown catalog id or a parameter out of range."""
-
-
-def sigma_of_prime_power(p: int, j: int) -> int:
-    """sigma(p^j) = 1 + p + ... + p^j, exact integer."""
-    return (p ** (j + 1) - 1) // (p - 1)
 
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
@@ -119,15 +112,14 @@ class MultFunc:
     __slots__ = (
         "id", "params", "value_class", "kappa", "nonneg", "unit_disc",
         "complex_valued", "mean_value_ok", "eta_coeff", "prime_dev_coeff",
-        "_scalar", "_vector",
+        "_vector",
     )
 
-    def __init__(self, id, params, scalar, vector, *, value_class, nonneg,
+    def __init__(self, id, params, vector, *, value_class, nonneg,
                  unit_disc, complex_valued, kappa=None, mean_value_ok,
                  eta_coeff, prime_dev_coeff=0.0):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "params", dict(params))
-        object.__setattr__(self, "_scalar", scalar)
         object.__setattr__(self, "_vector", vector)
         object.__setattr__(self, "value_class", value_class)
         object.__setattr__(self, "nonneg", nonneg)
@@ -146,12 +138,11 @@ class MultFunc:
         return self.id == "one"
 
     def prime_power(self, p: int, j: int):
-        """f(p^j) for a single prime p and exponent j >= 0."""
+        """f(p^j) for a single prime p and exponent j >= 0: prime_powers on
+        a one-element array."""
         if j < 0:
             raise ValueError("exponent must be >= 0")
-        if j == 0:
-            return 1
-        return self._scalar(int(p), int(j))
+        return self.prime_powers(np.array([p], dtype=np.int64), j)[0]
 
     def prime_powers(self, ps: np.ndarray, j: int) -> np.ndarray:
         """Vector of f(p^j) over an array of primes, fixed exponent j >= 0."""
@@ -197,7 +188,6 @@ def _sigma_ratio_vec(ps: np.ndarray, j: int) -> np.ndarray:
 def _build_one():
     return MultFunc(
         "one", {},
-        lambda p, j: 1,
         lambda ps, j: np.ones(ps.shape),
         value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=0.0,
@@ -207,7 +197,6 @@ def _build_one():
 def _build_tau():
     return MultFunc(
         "tau", {},
-        lambda p, j: j + 1,
         lambda ps, j: np.full(ps.shape, float(j + 1)),
         value_class=NONNEG, nonneg=True, unit_disc=False, complex_valued=False,
         kappa=2.0, mean_value_ok=False, eta_coeff=4.0,
@@ -217,7 +206,6 @@ def _build_tau():
 def _build_mu():
     return MultFunc(
         "mu", {},
-        lambda p, j: -1 if j == 1 else 0,
         lambda ps, j: np.full(ps.shape, -1.0 if j == 1 else 0.0),
         value_class=UNIT_DISC, nonneg=False, unit_disc=True, complex_valued=False,
         kappa=None, mean_value_ok=False, eta_coeff=0.0,
@@ -227,7 +215,6 @@ def _build_mu():
 def _build_mu_squared():
     return MultFunc(
         "mu_squared", {},
-        lambda p, j: 1 if j == 1 else 0,
         lambda ps, j: np.full(ps.shape, 1.0 if j == 1 else 0.0),
         value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=0.0, prime_dev_coeff=0.0,
@@ -240,7 +227,6 @@ def _build_lfree(l: int):
         raise CatalogError("lfree needs l >= 2")
     return MultFunc(
         "lfree", {"l": l},
-        lambda p, j: 1 if j < l else 0,
         lambda ps, j: np.full(ps.shape, 1.0 if j < l else 0.0),
         value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=0.0,
@@ -250,7 +236,6 @@ def _build_lfree(l: int):
 def _build_phi_over_n():
     return MultFunc(
         "phi_over_n", {},
-        lambda p, j: (p - 1) / p,
         lambda ps, j: 1.0 - 1.0 / ps.astype(np.float64),
         value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=1.0,
@@ -260,7 +245,6 @@ def _build_phi_over_n():
 def _build_sigma_over_n():
     return MultFunc(
         "sigma_over_n", {},
-        lambda p, j: sigma_of_prime_power(p, j) / p ** j,
         _sigma_ratio_vec,
         value_class=NONNEG, nonneg=True, unit_disc=False, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=4.0, prime_dev_coeff=1.0,
@@ -278,18 +262,13 @@ def _build_phi_over_n_pow(re: float, im: float):
     z = complex(re, im)
     is_complex = im != 0.0
 
-    def scalar(p, j):
-        base = (p - 1) / p
-        v = base ** z
-        return v if is_complex else v.real
-
     def vector(ps, j):
         base = 1.0 - 1.0 / ps.astype(np.float64)
         v = np.exp(z * np.log(base))
         return v if is_complex else v.real
 
     return MultFunc(
-        "phi_over_n_pow", {"re": re, "im": im}, scalar, vector,
+        "phi_over_n_pow", {"re": re, "im": im}, vector,
         value_class=(NONNEG if not is_complex else (UNIT_DISC if re >= 0 else GENERAL)),
         nonneg=not is_complex, unit_disc=re >= 0,
         complex_valued=is_complex, kappa=1.0 if not is_complex else None,
@@ -304,18 +283,13 @@ def _build_sigma_over_n_pow(re: float, im: float):
     z = complex(re, im)
     is_complex = im != 0.0
 
-    def scalar(p, j):
-        base = sigma_of_prime_power(p, j) / p ** j
-        v = base ** z
-        return v if is_complex else v.real
-
     def vector(ps, j):
         base = _sigma_ratio_vec(ps, j)
         v = np.exp(z * np.log(base))
         return v if is_complex else v.real
 
     return MultFunc(
-        "sigma_over_n_pow", {"re": re, "im": im}, scalar, vector,
+        "sigma_over_n_pow", {"re": re, "im": im}, vector,
         value_class=(NONNEG if not is_complex else (UNIT_DISC if re <= 0 else GENERAL)),
         nonneg=not is_complex, unit_disc=re <= 0,
         complex_valued=is_complex, kappa=1.0 if not is_complex else None,
@@ -338,14 +312,11 @@ def _build_lambda(a: int, q: int):
         root = cmath.exp(2j * math.pi * a / q)
         is_complex = True
 
-    def scalar(p, j):
-        return root ** j
-
     def vector(ps, j):
         return np.full(ps.shape, root ** j)
 
     return MultFunc(
-        "lambda", {"a": a, "q": q}, scalar, vector,
+        "lambda", {"a": a, "q": q}, vector,
         value_class=UNIT_DISC, nonneg=(a == 0), unit_disc=True,
         complex_valued=is_complex, kappa=1.0 if a == 0 else None,
         mean_value_ok=(a == 0), eta_coeff=2.0, prime_dev_coeff=0.0,
@@ -353,13 +324,6 @@ def _build_lambda(a: int, q: int):
 
 
 def _build_r():
-    def scalar(p, j):
-        if p == 2:
-            return 1
-        if p % 4 == 1:
-            return j + 1
-        return 1 - (j % 2)
-
     def vector(ps, j):
         res = np.full(ps.shape, 1.0 if j % 2 == 0 else 0.0)
         res[ps % 4 == 1] = float(j + 1)
@@ -367,18 +331,13 @@ def _build_r():
         return res
 
     return MultFunc(
-        "r", {}, scalar, vector,
+        "r", {}, vector,
         value_class=NONNEG, nonneg=True, unit_disc=False, complex_valued=False,
         kappa=1.0, mean_value_ok=False, eta_coeff=4.0,
     )
 
 
 def _build_two_squares_indicator():
-    def scalar(p, j):
-        if p % 4 == 3:
-            return 1 - (j % 2)
-        return 1
-
     def vector(ps, j):
         res = np.ones(ps.shape)
         if j % 2 == 1:
@@ -386,7 +345,7 @@ def _build_two_squares_indicator():
         return res
 
     return MultFunc(
-        "two_squares_indicator", {}, scalar, vector,
+        "two_squares_indicator", {}, vector,
         value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
         kappa=0.5, mean_value_ok=False, eta_coeff=2.0,
     )
@@ -397,14 +356,11 @@ def _build_principal_character(q: int):
     if q < 1:
         raise CatalogError("principal_character needs q >= 1")
 
-    def scalar(p, j):
-        return 1 if gcd(p, q) == 1 else 0
-
     def vector(ps, j):
         return (np.gcd(ps, q) == 1).astype(np.float64)
 
     return MultFunc(
-        "principal_character", {"q": q}, scalar, vector,
+        "principal_character", {"q": q}, vector,
         value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=0.0,
     )
@@ -425,16 +381,12 @@ def _build_quadratic_character(q: int):
     table[0] = 0.0
     table[(np.arange(1, q, dtype=np.int64) ** 2) % q] = 1.0
 
-    def scalar(p, j):
-        chi = int(table[p % q])
-        return chi ** j if chi != 0 else 0
-
     def vector(ps, j):
         chi = table[ps % q]
         return chi if j % 2 == 1 else np.abs(chi)
 
     return MultFunc(
-        "quadratic_character", {"q": q}, scalar, vector,
+        "quadratic_character", {"q": q}, vector,
         value_class=UNIT_DISC, nonneg=False, unit_disc=True, complex_valued=False,
         kappa=None, mean_value_ok=False, eta_coeff=2.0,
     )
@@ -512,33 +464,6 @@ def parse_spec(spec: str) -> MultFunc:
 # derived descriptors
 # ---------------------------------------------------------------------------
 
-def sigma_power_twist(f: MultFunc, k: int) -> MultFunc:
-    """Descriptor for f_k(n) = f(n) (n/sigma(n))^k, k >= 0; k = 0 returns f.
-
-    The twist factor on prime powers is (p^j / sigma(p^j))^k <= 1, so the
-    modulus class and all convergence metadata of f carry over.
-    """
-    k = int(k)
-    if k < 0:
-        raise ValueError("twist exponent k must be >= 0")
-    if k == 0:
-        return f
-
-    def scalar(p, j):
-        return f.prime_power(p, j) * (p ** j / sigma_of_prime_power(p, j)) ** k
-
-    def vector(ps, j):
-        return f.prime_powers(ps, j) * _sigma_ratio_vec(ps, j) ** (-k)
-
-    return MultFunc(
-        f"{f.id}~twist{k}", f.params, scalar, vector,
-        value_class=f.value_class, nonneg=f.nonneg, unit_disc=f.unit_disc,
-        complex_valued=f.complex_valued, kappa=f.kappa,
-        mean_value_ok=f.mean_value_ok, eta_coeff=f.eta_coeff,
-        prime_dev_coeff=f.prime_dev_coeff + 2.0 * k,
-    )
-
-
 def restrict_coprime(f: MultFunc, y: float, with_sigma_weight: bool = False) -> MultFunc:
     """Kill all prime factors p <= y; optionally reweight by sigma(p^j)/p^j.
 
@@ -549,14 +474,6 @@ def restrict_coprime(f: MultFunc, y: float, with_sigma_weight: bool = False) -> 
     if y < 2:
         raise ValueError("coprimality cut y must be >= 2")
 
-    def scalar(p, j):
-        if p <= y:
-            return 0
-        v = f.prime_power(p, j)
-        if with_sigma_weight:
-            v = v * (sigma_of_prime_power(p, j) / p ** j)
-        return v
-
     def vector(ps, j):
         v = f.prime_powers(ps, j)
         if with_sigma_weight:
@@ -565,7 +482,7 @@ def restrict_coprime(f: MultFunc, y: float, with_sigma_weight: bool = False) -> 
 
     tag = "coprime_sigma" if with_sigma_weight else "coprime"
     return MultFunc(
-        f"{f.id}~{tag}>{y:g}", f.params, scalar, vector,
+        f"{f.id}~{tag}>{y:g}", f.params, vector,
         value_class=f.value_class if not with_sigma_weight else GENERAL,
         nonneg=f.nonneg, unit_disc=f.unit_disc and not with_sigma_weight,
         complex_valued=f.complex_valued, kappa=f.kappa,

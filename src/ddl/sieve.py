@@ -7,18 +7,24 @@ form n * den <= num * sigma(n) can be decided in integer arithmetic; floating
 point enters only when statistics are formed.  The per-segment work for each
 base prime p walks the powers p, p^2, ... with strided slice updates, which
 gives sigma(n), f(n) and Omega(n) for a whole segment in a handful of numpy
-passes (about sum_{p <= sqrt(x)} 1/p ~ 2.5 element-ops per n).
+passes (about sum_{p <= sqrt(x)} 1/p ~ 2.5 element-ops per n).  The values
+f(p^j) at the base primes are computed once per scan, one vectorized call
+per level j, and shared by every segment.
 
 Segments are independent work units; with workers > 1 they are computed by a
 thread pool and merged in segment order, so results do not depend on the
 worker count.  A sigma cache is used only when the caller names its
 directory; cache files are keyed by exact segment bounds, so a cache serves
-only scans at the segment size it was written with.
+only scans at the segment size it was written with.  Each file carries a
+crc32 of its payload; a file that fails it is ignored and the segment is
+sieved again.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -50,8 +56,8 @@ DEFAULT_SEGMENT_SIZE = 1 << 22
 SIEVE_LIMIT = 4_000_000_000
 
 CACHE_MAGIC = b"SGMA"
-CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<4sIII")  # magic, version, lo, hi  (16 bytes)
+CACHE_VERSION = 2
+_CACHE_HEADER = struct.Struct("<4sIIII")  # magic, version, lo, hi, crc32 of payload  (20 bytes)
 
 # Largest dense sigma table sigma_table will allocate.
 SIGMA_TABLE_BUDGET_BYTES = 2_000_000_000
@@ -98,8 +104,26 @@ def _check_bounds(lo: int, hi: int):
             "(sigma and threshold products are guaranteed exact only below it)")
 
 
-def _segment_tables(lo, hi, primes, fdesc, want_omega, sigma_known=None):
-    """Core per-segment pass: sigma, f values and Omega over [lo, hi]."""
+def _prime_power_table(primes, fdesc, x):
+    """f(p^j) for the base primes, one list per level j = 1, 2, ... holding
+    the primes with p^j <= x; None when f is not evaluated."""
+    if fdesc is None:
+        return None
+    table = []
+    pw = primes  # p^j for the primes still active, ascending; p^j <= x^1.5 fits int64
+    while True:
+        cnt = int(np.count_nonzero(pw <= x))
+        if cnt == 0:
+            return table
+        table.append(fdesc.prime_powers(primes[:cnt], len(table) + 1).tolist())
+        pw = pw[:cnt] * primes[:cnt]
+
+
+def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
+    """Core per-segment pass: sigma, f values and Omega over [lo, hi].
+
+    fpow is the scan's f(p^j) table (_prime_power_table); fdesc evaluates f
+    only at the prime left over above sqrt(hi)."""
     n = np.arange(lo, hi + 1, dtype=np.int64)
     size = n.size
     need_sigma = sigma_known is None
@@ -111,7 +135,7 @@ def _segment_tables(lo, hi, primes, fdesc, want_omega, sigma_known=None):
 
     if need_sigma or fdesc is not None or want_omega:
         rem = n.copy()
-        for p_ in primes:
+        for i, p_ in enumerate(primes):
             p = int(p_)
             if p * p > hi:
                 break
@@ -122,7 +146,7 @@ def _segment_tables(lo, hi, primes, fdesc, want_omega, sigma_known=None):
             if need_sigma:
                 geo = np.full(cnt, 1 + p, dtype=np.int64)
             if fdesc is not None:
-                fp = np.full(cnt, fdesc.prime_power(p, 1), dtype=fv.dtype)
+                fp = np.full(cnt, fpow[0][i], dtype=fv.dtype)
             rem[s1::p] //= p
             if want_omega:
                 om[s1::p] += 1
@@ -138,7 +162,7 @@ def _segment_tables(lo, hi, primes, fdesc, want_omega, sigma_known=None):
                 if need_sigma:
                     geo[k0::st] += pw
                 if fdesc is not None:
-                    fp[k0::st] = fdesc.prime_power(p, j)
+                    fp[k0::st] = fpow[j - 1][i]
                 rem[se::q] //= p
                 if want_omega:
                     om[se::q] += 1
@@ -177,38 +201,50 @@ def _cache_path(cache_dir, lo, hi) -> Path:
 
 
 def write_segment_cache(cache_dir, lo: int, hi: int, sigma: np.ndarray) -> Path:
-    """Write a binary sigma cache: 16-byte header {SGMA, version, lo, hi} + int64 payload."""
+    """Write a binary sigma cache: 20-byte header {SGMA, version, lo, hi,
+    crc32} + int64 payload.  The file is written under a temporary name and
+    renamed into place, so a reader never sees a partial file."""
     path = _cache_path(cache_dir, lo, hi)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, lo, hi))
-        fh.write(np.ascontiguousarray(sigma, dtype=np.int64).tobytes())
+    payload = np.ascontiguousarray(sigma, dtype=np.int64)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, lo, hi, zlib.crc32(payload)))
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
 def read_segment_cache(cache_dir, lo: int, hi: int) -> np.ndarray | None:
-    """Load a cached sigma table; None when absent or invalid (never raises)."""
+    """Load a cached sigma table; None when absent, of another version or
+    damaged (bad header, length or payload checksum), so the caller sieves
+    the segment again.  Never raises."""
     path = _cache_path(cache_dir, lo, hi)
     try:
         with open(path, "rb") as fh:
             head = fh.read(_CACHE_HEADER.size)
             if len(head) != _CACHE_HEADER.size:
                 return None
-            magic, version, clo, chi = _CACHE_HEADER.unpack(head)
+            magic, version, clo, chi, crc = _CACHE_HEADER.unpack(head)
             if magic != CACHE_MAGIC or version != CACHE_VERSION or clo != lo or chi != hi:
                 return None
-            payload = fh.read()
+            sigma = np.empty(hi - lo + 1, dtype=np.int64)
+            if fh.readinto(sigma) != sigma.nbytes or fh.read(1):
+                return None
     except OSError:
         return None
-    expect = (hi - lo + 1) * 8
-    if len(payload) != expect:
+    if zlib.crc32(sigma) != crc:
         return None
-    return np.frombuffer(payload, dtype=np.int64).copy()
+    return sigma
 
 
-def _scan_one(lo, hi, primes, fdesc, want_omega, cache_dir):
+def _scan_one(lo, hi, primes, fdesc, fpow, want_omega, cache_dir):
     sigma_known = read_segment_cache(cache_dir, lo, hi) if cache_dir else None
-    n, sigma, fv, om = _segment_tables(lo, hi, primes, fdesc, want_omega, sigma_known)
+    n, sigma, fv, om = _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known)
     return ScanChunk(lo, hi, n, sigma, fv, om)
 
 
@@ -229,10 +265,11 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
         raise SieveError("segment_size must be >= 16")
     fdesc = None if (f is None or f.is_one) else f
     primes = primes_up_to(isqrt(x))
+    fpow = _prime_power_table(primes, fdesc, x)
     bounds = [(lo, min(lo + size - 1, x)) for lo in range(1, x + 1, size)]
     if workers <= 1:
         for lo, hi in bounds:
-            yield _scan_one(lo, hi, primes, fdesc, with_omega, cache_dir)
+            yield _scan_one(lo, hi, primes, fdesc, fpow, with_omega, cache_dir)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
@@ -241,12 +278,14 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
             b = next(it, None)
             if b is None:
                 break
-            pending.append(pool.submit(_scan_one, b[0], b[1], primes, fdesc, with_omega, cache_dir))
+            pending.append(pool.submit(_scan_one, b[0], b[1], primes, fdesc, fpow, with_omega,
+                                       cache_dir))
         while pending:
             fut = pending.popleft()
             b = next(it, None)
             if b is not None:
-                pending.append(pool.submit(_scan_one, b[0], b[1], primes, fdesc, with_omega, cache_dir))
+                pending.append(pool.submit(_scan_one, b[0], b[1], primes, fdesc, fpow,
+                                           with_omega, cache_dir))
             yield fut.result()
 
 

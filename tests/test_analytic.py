@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import ddl
-from ddl.analytic import (WitnessNotFound, char_function, continuity_diagnostic,
-                          greedy_witness, halasz_series, hypothesis_partial_sums,
-                          local_series, mean_value_product, mertens_kappa,
-                          series_cutoff, wirsing_prediction)
+from ddl.analytic import (WitnessNotFound, _level_tables, char_function,
+                          continuity_diagnostic, greedy_witness, halasz_series,
+                          hypothesis_partial_sums, mean_value_product,
+                          mertens_kappa, wirsing_prediction)
 from ddl.multfunc import evaluate, make
 from ddl.sieve import primes_up_to
 
@@ -20,27 +20,43 @@ MERTENS_CONST = 0.26149721284764278
 ONE = make("one")
 
 
+def local_series(f, P, t):
+    """Per-prime (ps, twisted(p, t), plain(p), higher(p)) from the level tables."""
+    ps, levels, plain = _level_tables(f, P)
+    twisted = np.ones(ps.size, dtype=complex)
+    higher = np.zeros(ps.size, dtype=complex)
+    for j, (cnt, w, lr) in enumerate(levels, start=1):
+        twisted[:cnt] += w * np.exp(1j * t * lr)
+        if j >= 2:
+            higher[:cnt] += w
+    return ps, twisted, plain, higher
+
+
 def test_series_cutoff_rule():
-    assert series_cutoff(2) == 42
-    assert series_cutoff(3) == 28
-    assert series_cutoff(10 ** 6) == 5
+    # p stays at level j >= 3 while p^(j-2) <= 2^40, i.e. J(p) =
+    # floor(40 / log2 p) + 2 terms, and no term with p^j > 1e17 is kept
+    ps, levels, _ = _level_tables(ONE, 10 ** 6)
+
+    def terms(p):
+        k = int(np.searchsorted(ps, p))
+        return sum(1 for cnt, _, _ in levels if cnt > k)
+
+    assert terms(2) == 42
+    assert terms(3) == 27
+    assert terms(999_983) == 2   # the largest prime below 1e6; p^3 > 1e17
 
 
 def test_local_series_examples():
-    ls = local_series(ONE, 2)
-    assert ls.plain.real == pytest.approx(2.0, abs=1e-12)
-    assert ls.twisted == ls.plain  # t = 0
-    for p in (2, 5, 13):
-        a = local_series(ONE, p, t=0.7)
-        b = local_series(ONE, p, t=0.0)
-        assert a.plain == b.plain
-        assert abs(a.twisted) <= abs(a.plain) + 1e-12
-    for p in (2, 3, 7, 101):
-        assert local_series(make("mu_squared"), p).higher == 0
+    ps, twisted, plain, higher = local_series(ONE, 10 ** 4, 0.0)
+    assert np.array_equal(twisted, plain)  # t = 0
+    # the truncated series stays within 1e-12 of 1/(1 - 1/p) at every p
+    assert np.max(np.abs(plain - 1.0 / (1.0 - 1.0 / ps))) < 1e-12
     # eta for f = 1 is 1/(p(p-1))
-    ls5 = local_series(ONE, 5)
-    assert ls5.higher.real == pytest.approx(1 / 20, abs=1e-12)
-    assert ls5.tail < 1e-12
+    assert np.allclose(higher, 1.0 / (ps * (ps - 1.0)), rtol=0, atol=1e-12)
+    _, twisted7, plain7, _ = local_series(ONE, 10 ** 4, 0.7)
+    assert np.array_equal(plain7, plain)
+    assert np.all(np.abs(twisted7) <= plain + 1e-12)
+    assert np.all(local_series(make("mu_squared"), 10 ** 4, 0.0)[3] == 0)
 
 
 def test_mean_value_products():
@@ -62,11 +78,9 @@ def test_mean_value_products():
 
 def test_phi_factor_simplification_per_prime():
     # local factor (1 - 1/p) * plain(p) equals 1 - 1/p^2 for phi/n
-    phi = make("phi_over_n")
-    for p in primes_up_to(10 ** 4):
-        p = int(p)
-        plain = local_series(phi, p).plain.real
-        assert (1 - 1 / p) * plain == pytest.approx(1 - 1 / p ** 2, abs=1e-10)
+    ps, _, plain = _level_tables(make("phi_over_n"), 10 ** 4)
+    pf = ps.astype(float)
+    assert np.allclose((1 - 1 / pf) * plain, 1 - 1 / pf ** 2, rtol=0, atol=1e-10)
 
 
 def test_mean_value_rejects_bad_hypotheses():

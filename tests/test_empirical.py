@@ -68,7 +68,8 @@ def test_monotone_raw_for_nonnegative():
 
 
 BRUTE_SPECS = ["one", "tau", "mu", "mu_squared", "lfree:l=3", "phi_over_n",
-               "sigma_over_n", "phi_over_n_pow:re=0.5,im=0.5", "lambda:a=1,q=3",
+               "sigma_over_n", "phi_over_n_pow:re=0.5,im=0.5",
+               "sigma_over_n_pow:re=-0.5,im=1", "lambda:a=1,q=3",
                "r", "two_squares_indicator", "principal_character:q=6",
                "quadratic_character:q=7"]
 

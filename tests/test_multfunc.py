@@ -1,13 +1,13 @@
 """Catalog correctness: prime-power rules against brute-force definitions."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from ddl.multfunc import (CatalogError, evaluate, make, parse_spec,
-                          restrict_coprime, sigma_of_prime_power,
-                          sigma_power_twist, trial_factorize)
+                          restrict_coprime, trial_factorize)
 
 import oracles
 
@@ -52,14 +52,44 @@ def test_declared_value_classes(spec):
                 assert v.imag == 0
 
 
+def sigma_ratio(p, j):
+    """sigma(p^j)/p^j from the exact integer sigma(p^j)."""
+    return sum(p ** i for i in range(j + 1)) / p ** j
+
+
+def legendre_7(p):
+    r = pow(p, 3, 7)
+    return {0: 0, 1: 1, 6: -1}[r]
+
+
+# f(p^j) in closed form, written apart from the catalog's vectorized rules
+CLOSED_FORMS = {
+    "one": lambda p, j: 1,
+    "tau": lambda p, j: j + 1,
+    "mu": lambda p, j: -1 if j == 1 else 0,
+    "mu_squared": lambda p, j: 1 if j == 1 else 0,
+    "lfree:l=3": lambda p, j: 1 if j < 3 else 0,
+    "phi_over_n": lambda p, j: (p - 1) / p,
+    "sigma_over_n": sigma_ratio,
+    "phi_over_n_pow:re=0.5,im=0.25": lambda p, j: ((p - 1) / p) ** complex(0.5, 0.25),
+    "sigma_over_n_pow:re=-0.5,im=1": lambda p, j: sigma_ratio(p, j) ** complex(-0.5, 1),
+    "lambda:a=1,q=3": lambda p, j: cmath.exp(2j * math.pi * j / 3),
+    "r": lambda p, j: 1 if p == 2 else (j + 1 if p % 4 == 1 else 1 - j % 2),
+    "two_squares_indicator": lambda p, j: 0 if p % 4 == 3 and j % 2 else 1,
+    "principal_character:q=6": lambda p, j: 1 if math.gcd(p, 6) == 1 else 0,
+    "quadratic_character:q=7": lambda p, j: legendre_7(p) ** j,
+}
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_vector_matches_scalar(spec):
+    """The one vectorized rule, prime_powers, against the scalar closed form."""
     f = parse_spec(spec)
     ps = np.array(SMALL_PRIMES, dtype=np.int64)
     for j in range(1, 5):
         vec = f.prime_powers(ps, j)
         for k, p in enumerate(SMALL_PRIMES):
-            assert complex(vec[k]) == pytest.approx(complex(f.prime_power(p, j)),
+            assert complex(vec[k]) == pytest.approx(complex(CLOSED_FORMS[spec](p, j)),
                                                     abs=1e-13), (spec, p, j)
 
 
@@ -103,23 +133,25 @@ def test_lfree_indicator():
         assert evaluate(f, n) == (1 if cubefree else 0)
 
 
+def twist(k):
+    """(n/sigma(n))^k as the catalog's sigma_over_n_pow at re = -k, im = 0."""
+    return make("sigma_over_n_pow", re=-k, im=0)
+
+
 def test_sigma_power_twist_examples():
-    one, tau = make("one"), make("tau")
-    assert sigma_power_twist(one, 0) is one
-    t1 = sigma_power_twist(one, 1)
-    assert t1.prime_power(2, 1) == pytest.approx(2 / 3, rel=1e-15)
-    t2 = sigma_power_twist(tau, 2)
-    assert t2.prime_power(3, 1) == pytest.approx(2 * (3 / 4) ** 2, rel=1e-15)
+    assert twist(0).prime_power(2, 1) == 1
+    assert not twist(1).complex_valued
+    assert twist(1).prime_power(2, 1) == pytest.approx(2 / 3, rel=1e-15)
+    assert twist(2).prime_power(3, 1) == pytest.approx((3 / 4) ** 2, rel=1e-15)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 8])
 def test_sigma_power_twist_full_values(k):
-    tau = make("tau")
-    fk = sigma_power_twist(tau, k)
+    tau, fk = make("tau"), twist(k)
     for n in range(1, 10001, 37):
         sig = oracles.sigma_brute(n)
         expect = oracles.tau_brute(n) * (n / sig) ** k
-        assert evaluate(fk, n) == pytest.approx(expect, rel=1e-12)
+        assert evaluate(tau, n) * evaluate(fk, n) == pytest.approx(expect, rel=1e-12)
 
 
 def test_restrict_coprime_values():
@@ -167,4 +199,3 @@ def test_trial_factorize():
     assert trial_factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert trial_factorize(1) == []
     assert trial_factorize(9973) == [(9973, 1)]
-    assert sigma_of_prime_power(2, 3) == 15

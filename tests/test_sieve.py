@@ -136,6 +136,22 @@ def test_cache_round_trip(tmp_path):
     assert read_segment_cache(tmp_path, 1, 4096) is None
 
 
+def test_cache_payload_checksum(tmp_path):
+    x, size = 20_000, 4096
+    for chunk in scan_segments(x, segment_size=size):
+        write_segment_cache(tmp_path, chunk.lo, chunk.hi, chunk.sigma)
+    assert not list(tmp_path.glob("*.tmp"))
+    # flip one payload byte: the header still matches, the crc32 does not
+    path = tmp_path / f"sigma_{size + 1}_{2 * size}.sgma"
+    raw = bytearray(path.read_bytes())
+    raw[-100] ^= 0x01
+    path.write_bytes(bytes(raw))
+    assert read_segment_cache(tmp_path, size + 1, 2 * size) is None
+    # the damaged segment is sieved again, so the table is unchanged
+    assert np.array_equal(sigma_table(x, segment_size=size, cache_dir=str(tmp_path)),
+                          sigma_table(x, segment_size=size))
+
+
 def test_bounds_and_limits():
     with pytest.raises(SieveError):
         sigma_table(0)
