@@ -21,7 +21,7 @@ from .empirical import (EquidistTally, GridError, ThresholdGrid,
                         partial_summation_check, smoothed_indicator_mean)
 from .analytic import (CharFnProfile, EulerProductValue, WitnessNotFound,
                        char_function, continuity_diagnostic, greedy_witness,
-                       halasz_series, hypothesis_partial_sums,
-                       mean_value_product, mertens_kappa, wirsing_prediction)
+                       halasz_series, mean_value_product, mertens_kappa,
+                       wirsing_prediction)
 from .inversion import (CdfComparison, InversionError, InvertedCdf, invert,
                         sup_distance)

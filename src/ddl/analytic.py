@@ -48,7 +48,6 @@ __all__ = [
     "halasz_series",
     "continuity_diagnostic",
     "greedy_witness",
-    "hypothesis_partial_sums",
 ]
 
 EULER_GAMMA = 0.5772156649015329
@@ -78,7 +77,7 @@ def _level_bound(P: int, j: int) -> int:
     return int(bound)
 
 
-def _level_tables(f: MultFunc, P: int, J: int | None = None):
+def _level_tables(f: MultFunc, P: int):
     """Per-level arrays over the primes <= P.
 
     Returns (ps, levels, plain) where levels is a list of (count, weights,
@@ -95,8 +94,6 @@ def _level_tables(f: MultFunc, P: int, J: int | None = None):
     levels = []
     j = 1
     while True:
-        if J is not None and j > J:
-            break
         bound = _level_bound(int(P), j)
         cnt = int(np.searchsorted(ps, bound, side="right"))
         if cnt == 0:
@@ -171,13 +168,6 @@ class CharFnProfile:
     values: np.ndarray
     tail_bounds: np.ndarray
     P: int
-    J: int | None
-
-    def value_at(self, t: float) -> complex:
-        k = int(np.argmin(np.abs(self.ts - t)))
-        if abs(float(self.ts[k]) - t) > 1e-9:
-            raise ValueError(f"t = {t} not on the profile grid")
-        return complex(self.values[k])
 
 
 def _uniform_step(ts: np.ndarray) -> float | None:
@@ -190,7 +180,7 @@ def _uniform_step(ts: np.ndarray) -> float | None:
     return None
 
 
-def char_function(f: MultFunc, ts, P: int, J: int | None = None) -> CharFnProfile:
+def char_function(f: MultFunc, ts, P: int) -> CharFnProfile:
     """prod_{p<=P} twisted(p, t) / plain(p) on the given t grid.
 
     Nonnegative f only (the product is then a genuine characteristic
@@ -202,7 +192,7 @@ def char_function(f: MultFunc, ts, P: int, J: int | None = None) -> CharFnProfil
         raise ValueError("characteristic-function product needs a nonnegative function")
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     P = int(P)
-    ps, levels, plain = _level_tables(f, P, J)
+    ps, levels, plain = _level_tables(f, P)
 
     def eval_direct(t):
         # at t = 0 every phase is exactly 1, so acc reproduces plain's own
@@ -235,7 +225,7 @@ def char_function(f: MultFunc, ts, P: int, J: int | None = None) -> CharFnProfil
     # tail: sum_{p>P} |twisted/plain - 1| <= C ((1+|t|)/p^2 + eta mass), with
     # sum_{p>P} p^-2 < 1/P
     tails = (TAIL_CONSTANT * (1.0 + np.abs(ts)) + f.eta_coeff) / P
-    return CharFnProfile(f.spec_string(), ts, out, tails, P, J)
+    return CharFnProfile(f.spec_string(), ts, out, tails, P)
 
 
 def mertens_kappa(f: MultFunc, x: float) -> tuple[float, float]:
@@ -266,6 +256,8 @@ def halasz_series(f: MultFunc, beta: float, P: int) -> float:
     """
     if not f.unit_disc:
         raise ValueError("the series diagnostic needs |f| <= 1")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, not {beta}")
     ps = primes_up_to(int(P))
     pf = ps.astype(np.float64)
     fp = f.at_primes(ps).astype(np.complex128)
@@ -331,24 +323,3 @@ def greedy_witness(f: MultFunc, v, u, p_cap: int = 100_000) -> int:
     raise WitnessNotFound(
         f"no witness in ({v}, {u}] with primes up to {p_cap}; increase p_cap")
 
-
-def hypothesis_partial_sums(f: MultFunc, P: int, J: int = 6) -> dict:
-    """Partial sums of the convergence hypotheses, as diagnostics:
-
-    abs_prime   sum_{p<=P} |f(p) - 1| / p
-    higher      sum_{p<=P} sum_{2<=j<=J} |f(p^j)| / p^j
-    delange     sum_{p<=P} (f(p) - 1) / p   (complex)
-
-    Boundedness of the first two along growing P is the product-form
-    hypothesis; convergence of the third is the weaker unimodular one.
-    """
-    ps = primes_up_to(int(P))
-    pf = ps.astype(np.float64)
-    fp = f.at_primes(ps).astype(np.complex128)
-    abs_prime = float(np.sum(np.abs(fp - 1.0) / pf))
-    higher = 0.0
-    for j in range(2, J + 1):
-        higher += float(np.sum(np.abs(f.prime_powers(ps, j)) / pf ** j))
-    delange = complex(np.sum((fp - 1.0) / pf))
-    return {"abs_prime": abs_prime, "higher": higher,
-            "delange_re": delange.real, "delange_im": delange.imag}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -32,7 +33,7 @@ from .empirical import (GridError, ThresholdGrid, equidist_tally,
 from .analytic import (WitnessNotFound, char_function, continuity_diagnostic,
                        greedy_witness, halasz_series, mean_value_product,
                        mertens_kappa, wirsing_prediction)
-from .inversion import InversionError, invert, sup_distance
+from .inversion import InversionError, _quadrature_grid, invert, sup_distance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -50,7 +51,7 @@ def _int_arg(s: str) -> int:
         return int(s)
     except ValueError:
         v = float(s)
-        if v != int(v):
+        if not math.isfinite(v) or v != int(v):
             raise argparse.ArgumentTypeError(f"{s!r} is not an integer")
         return int(v)
 
@@ -63,16 +64,19 @@ def _fraction_arg(s: str) -> Fraction:
 
 
 def _parse_t_spec(spec: str) -> np.ndarray:
-    if spec.startswith("linspace:"):
-        try:
-            a, b, n = spec.split(":", 1)[1].split(",")
-            return np.linspace(float(a), float(b), int(n))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad linspace spec {spec!r}") from None
+    """Parsed in the handler, so the flag is echoed as given; a bad spec
+    raises ValueError, which main reports with exit code 2."""
     try:
-        return np.array([float(v) for v in spec.split(",")])
+        if spec.startswith("linspace:"):
+            a, b, n = spec.split(":", 1)[1].split(",")
+            ts = np.linspace(float(a), float(b), int(n))
+        else:
+            ts = np.array([float(v) for v in spec.split(",")])
+        if np.all(np.isfinite(ts)):
+            return ts
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad t list {spec!r}") from None
+        pass
+    raise ValueError(f"bad t spec {spec!r}: want a comma list or linspace:a,b,n of finite values")
 
 
 def _meta(args: argparse.Namespace, t0: float) -> dict:
@@ -229,7 +233,7 @@ def _cmd_analytic(args, t0):
                    "x": args.x, "P": args.P}
     elif sub == "psi":
         ts = _parse_t_spec(args.t)
-        prof = char_function(f, ts, args.P, args.J)
+        prof = char_function(f, ts, args.P)
         payload = {"P": prof.P,
                    "points": [{"t": float(t), "re": v.real, "im": v.imag,
                                "tail_bound": float(b)}
@@ -249,8 +253,6 @@ def _cmd_analytic(args, t0):
             payload = {"found": True, "m": m}
         except WitnessNotFound as exc:
             payload = {"found": False, "reason": str(exc)}
-    else:  # pragma: no cover
-        raise CatalogError(f"unknown analytic op {sub!r}")
     payload["meta"] = _meta(args, t0)
     _emit_json(payload, args.out)
     return EXIT_OK
@@ -266,9 +268,7 @@ def _invert_points(spec: str) -> np.ndarray:
 
 def _cmd_invert(args, t0):
     f = parse_spec(args.f)
-    h = args.step
-    ts = np.arange(0.0, args.T + h / 2, h)
-    prof = char_function(f, ts, args.P)
+    prof = char_function(f, _quadrature_grid(args.T, args.step), args.P)
     points = _invert_points(args.points)
     inv = invert(prof, points, T=args.T, step=args.step)
     payload = {
@@ -286,9 +286,8 @@ def _cmd_invert(args, t0):
 def _cmd_compare(args, t0):
     f = parse_spec(args.f)
     grid = ThresholdGrid.parse(args.grid)
+    ts = _quadrature_grid(args.T, args.step)  # refuses a bad T or step before the sieve runs
     est = estimate_weighted_cdf(f, args.x, grid, **_common_kwargs(args))
-    h = args.step
-    ts = np.arange(0.0, args.T + h / 2, h)
     prof = char_function(f, ts, args.P)
     _, logs = grid.log_points()
     inv = invert(prof, logs, T=args.T, step=args.step)
@@ -313,11 +312,10 @@ def _cmd_compare(args, t0):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, out=True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--segment-size", type=_int_arg, default=DEFAULT_SEGMENT_SIZE)
     p.add_argument("--workers", type=int, default=1)
-    if out:
-        p.add_argument("--out", default=None, help="output file (stdout when omitted)")
+    p.add_argument("--out", default=None, help="output file (stdout when omitted)")
 
 
 _P = ("--P", {"type": _int_arg, "required": True})
@@ -327,8 +325,7 @@ _X = ("--x", {"type": _int_arg, "required": True})
 ANALYTIC_FLAGS = {
     "mean": (_P,),
     "wirsing": (_X, ("--P", {"type": _int_arg, "default": None})),
-    "psi": (("--t", {"required": True, "help": "comma list or linspace:a,b,n"}), _P,
-            ("--J", {"type": int, "default": None})),
+    "psi": (("--t", {"required": True, "help": "comma list or linspace:a,b,n"}), _P),
     "kappa": (_X,),
     "halasz": (("--beta", {"type": float, "required": True}), _P),
     "jumps": (_P,),

@@ -332,6 +332,8 @@ def equidist_tally(mode: str, q: int, u, x: int, *,
     q = int(q)
     if q < 1:
         raise ValueError("q must be >= 1")
+    if q > MAX_DENOMINATOR:  # one int64 count per class is allocated up front
+        raise ResourceLimitError(f"q = {q} over the {MAX_DENOMINATOR} cap")
     u = Fraction(u)
     if not (0 <= u <= 1):
         raise ValueError("u must lie in [0, 1]")

@@ -10,8 +10,11 @@ Im(e^{-i t x0} psi) = cos(t x0) Im psi - sin(t x0) Re psi, so the sum is two
 real matrix-vector products.  The t -> 0 node is handled analytically: the
 integrand tends to m1 - x0, where m1 (the mean of the limiting law) is
 estimated from the first positive node as Im psi(h)/h.  This is the only
-quadrature.  A profile on a symmetric grid is read through its t >= 0 half,
-which determines the rest, since psi(-t) = conj(psi(t)) for a real law.
+quadrature.  The profile must be sampled on the quadrature grid itself:
+profile.ts must begin k * step for k = 0..floor(T/step), which is what
+``_quadrature_grid`` builds; nodes past that are not used, and ``invert``
+raises InversionError on any other grid.  The t >= 0 half is all it needs,
+since psi(-t) = conj(psi(t)) for a real law.
 
 The distribution has no atoms, so pointwise inversion converges at every
 evaluation point, but with no known rate: T and the step are calibrated, not
@@ -66,62 +69,28 @@ class InvertedCdf:
     slack_exceeded: bool
 
 
-def _profile_nodes(profile: CharFnProfile, T: float, step: float):
-    """Positive quadrature nodes k*step <= T drawn from the profile grid."""
-    ts = np.asarray(profile.ts, dtype=np.float64)
-    if ts.size < 3:
-        raise InversionError("profile grid too small")
-    nonneg = ts[ts >= -1e-9]
-    nonneg = np.sort(nonneg)
-    h0 = np.diff(nonneg)
-    if not np.all(h0 > 0):
-        raise InversionError("profile grid has duplicate t values")
-    base = float(h0[0])
-    if not np.all(np.abs(h0 - base) < 1e-9 * max(base, 1.0)):
-        raise InversionError("profile grid must be uniform on t >= 0")
-    if abs(nonneg[0]) > 1e-9:
-        raise InversionError("profile grid must start at t = 0")
-    k = step / base
-    if abs(k - round(k)) > 1e-9 or round(k) < 1:
-        raise InversionError(f"step {step} is not a multiple of the profile spacing {base}")
-    k = int(round(k))
+def _quadrature_grid(T: float, step: float) -> np.ndarray:
+    """The t grid the quadrature runs on: k*step for k = 0..floor(T/step)."""
+    if not (step > 0 and math.isfinite(T / step)):
+        raise InversionError("T and step must be finite, with step > 0")
     m = int(math.floor(T / step + 1e-9))
     if m < 3:
         raise InversionError("T / step leaves too few quadrature nodes")
-    if m * k >= nonneg.size:
-        raise InversionError(f"T = {T} beyond the profile range {nonneg[-1]:.3f}")
-    idx = np.arange(1, m + 1) * k
-    return nonneg[idx], idx
-
-
-def _nearest_index(sorted_arr: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the elements of sorted_arr closest to each target, which
-    must match within tol."""
-    ptr = np.searchsorted(sorted_arr, targets)
-    ptr = np.clip(ptr, 0, sorted_arr.size - 1)
-    left = np.clip(ptr - 1, 0, sorted_arr.size - 1)
-    take_left = np.abs(sorted_arr[left] - targets) < np.abs(sorted_arr[ptr] - targets)
-    idx = np.where(take_left, left, ptr)
-    if np.any(np.abs(sorted_arr[idx] - targets) > tol):
-        raise InversionError("quadrature nodes missing from the profile grid")
-    return idx
+    return step * np.arange(m + 1)
 
 
 def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
-           step: float = DEFAULT_STEP, eps: float = DEFAULT_SLACK) -> InvertedCdf:
+           step: float = DEFAULT_STEP) -> InvertedCdf:
     """Pointwise inversion at ascending evaluation points (log coordinates)."""
     points = np.atleast_1d(np.asarray(points, dtype=np.float64))
     if points.size > 1 and not np.all(np.diff(points) > 0):
         raise InversionError("evaluation points must be strictly increasing")
-    ts = np.asarray(profile.ts, dtype=np.float64)
-    vals = np.asarray(profile.values, dtype=np.complex128)
-
-    # map positive nodes; profile values looked up by index
-    order = np.argsort(ts)
-    ts_sorted = ts[order]
-    vals_sorted = vals[order]
-    pos_nodes, _ = _profile_nodes(profile, T, step)
-    pos_vals = vals_sorted[_nearest_index(ts_sorted, pos_nodes, 1e-6)]
+    grid = _quadrature_grid(T, step)
+    ts = np.asarray(profile.ts, dtype=np.float64)[:grid.size]
+    if ts.size < grid.size or np.any(np.abs(ts - grid) > 1e-9 * max(T, 1.0)):
+        raise InversionError(f"profile grid must begin k*{step:g} for k = 0..{grid.size - 1}")
+    pos_nodes = grid[1:]
+    pos_vals = np.asarray(profile.values, dtype=np.complex128)[1:grid.size]
 
     h = float(step)
     m1 = float(pos_vals[0].imag) / float(pos_nodes[0])
@@ -147,11 +116,11 @@ def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
         raw = raw.copy()
         raw[edge] = 1.0
 
-    slack_exceeded = bool(np.any(raw < -eps) or np.any(raw > 1.0 + eps))
+    slack_exceeded = bool(np.any(raw < -DEFAULT_SLACK) or np.any(raw > 1.0 + DEFAULT_SLACK))
     clipped = np.clip(raw, 0.0, 1.0)
     iso = np.maximum.accumulate(clipped)
     isotonic_changed = bool(np.any(iso != clipped))
-    return InvertedCdf(points, raw, iso, eps, float(T), h,
+    return InvertedCdf(points, raw, iso, DEFAULT_SLACK, float(T), h,
                        isotonic_changed, slack_exceeded)
 
 

@@ -4,7 +4,7 @@ A multiplicative function satisfies f(1) = 1 and f(mn) = f(m) f(n) for coprime
 m, n, so it is determined by the values f(p^j).  The catalog is closed: every
 entry is a named rule with validated parameters, which keeps evaluation pure,
 fast and auditable.  Each descriptor also carries the metadata the analytic
-machinery needs: sign/modulus class, Wirsing density kappa when one is
+machinery needs: sign and modulus flags, Wirsing density kappa when one is
 claimed, whether the Wintner/Delange mean-value hypotheses hold, and crude
 tail coefficients used to estimate truncated Euler products.
 
@@ -51,10 +51,6 @@ __all__ = [
     "trial_factorize",
 ]
 
-UNIT_DISC = "unit-disc"
-NONNEG = "nonnegative-bounded-prime"
-GENERAL = "general"
-
 # |Re z| and |Im z| cap for the power-twist rules; keeps |f(p^j)| <= 2^8 so
 # the eta_p tails stay summable with a small constant.
 MAX_POW_PART = 8.0
@@ -96,7 +92,6 @@ class MultFunc:
 
     Fields beyond the evaluation hooks:
 
-    value_class     one of "unit-disc", "nonnegative-bounded-prime", "general"
     kappa           claimed Wirsing density (sum_{p<=x} f(p) log p / p ~ kappa log x),
                     None when no density is claimed
     nonneg          all values are real and >= 0
@@ -110,18 +105,17 @@ class MultFunc:
     """
 
     __slots__ = (
-        "id", "params", "value_class", "kappa", "nonneg", "unit_disc",
+        "id", "params", "kappa", "nonneg", "unit_disc",
         "complex_valued", "mean_value_ok", "eta_coeff", "prime_dev_coeff",
         "_vector",
     )
 
-    def __init__(self, id, params, vector, *, value_class, nonneg,
-                 unit_disc, complex_valued, kappa=None, mean_value_ok,
-                 eta_coeff, prime_dev_coeff=0.0):
+    def __init__(self, id, params, vector, *, nonneg, unit_disc,
+                 complex_valued, kappa=None, mean_value_ok, eta_coeff,
+                 prime_dev_coeff=0.0):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "params", dict(params))
         object.__setattr__(self, "_vector", vector)
-        object.__setattr__(self, "value_class", value_class)
         object.__setattr__(self, "nonneg", nonneg)
         object.__setattr__(self, "unit_disc", unit_disc)
         object.__setattr__(self, "complex_valued", complex_valued)
@@ -185,11 +179,18 @@ def _sigma_ratio_vec(ps: np.ndarray, j: int) -> np.ndarray:
     return (1.0 - pinv ** (j + 1)) / (1.0 - pinv)
 
 
+def _int_param(name: str, v) -> int:
+    """An integer parameter, refused rather than truncated when not integral."""
+    if isinstance(v, float) and not v.is_integer():
+        raise CatalogError(f"parameter {name} must be an integer, not {v!r}")
+    return int(v)
+
+
 def _build_one():
     return MultFunc(
         "one", {},
         lambda ps, j: np.ones(ps.shape),
-        value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
+        nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=0.0,
     )
 
@@ -198,7 +199,7 @@ def _build_tau():
     return MultFunc(
         "tau", {},
         lambda ps, j: np.full(ps.shape, float(j + 1)),
-        value_class=NONNEG, nonneg=True, unit_disc=False, complex_valued=False,
+        nonneg=True, unit_disc=False, complex_valued=False,
         kappa=2.0, mean_value_ok=False, eta_coeff=4.0,
     )
 
@@ -207,7 +208,7 @@ def _build_mu():
     return MultFunc(
         "mu", {},
         lambda ps, j: np.full(ps.shape, -1.0 if j == 1 else 0.0),
-        value_class=UNIT_DISC, nonneg=False, unit_disc=True, complex_valued=False,
+        nonneg=False, unit_disc=True, complex_valued=False,
         kappa=None, mean_value_ok=False, eta_coeff=0.0,
     )
 
@@ -216,19 +217,19 @@ def _build_mu_squared():
     return MultFunc(
         "mu_squared", {},
         lambda ps, j: np.full(ps.shape, 1.0 if j == 1 else 0.0),
-        value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
+        nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=0.0, prime_dev_coeff=0.0,
     )
 
 
 def _build_lfree(l: int):
-    l = int(l)
+    l = _int_param("l", l)
     if l < 2:
         raise CatalogError("lfree needs l >= 2")
     return MultFunc(
         "lfree", {"l": l},
         lambda ps, j: np.full(ps.shape, 1.0 if j < l else 0.0),
-        value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
+        nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=0.0,
     )
 
@@ -237,7 +238,7 @@ def _build_phi_over_n():
     return MultFunc(
         "phi_over_n", {},
         lambda ps, j: 1.0 - 1.0 / ps.astype(np.float64),
-        value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
+        nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=1.0,
     )
 
@@ -246,14 +247,15 @@ def _build_sigma_over_n():
     return MultFunc(
         "sigma_over_n", {},
         _sigma_ratio_vec,
-        value_class=NONNEG, nonneg=True, unit_disc=False, complex_valued=False,
+        nonneg=True, unit_disc=False, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=4.0, prime_dev_coeff=1.0,
     )
 
 
 def _check_pow_part(re: float, im: float):
-    if abs(re) > MAX_POW_PART or abs(im) > MAX_POW_PART:
-        raise CatalogError(f"power exponent parts must satisfy |re|,|im| <= {MAX_POW_PART:g}")
+    # written so that a NaN part fails the test too
+    if not (abs(re) <= MAX_POW_PART and abs(im) <= MAX_POW_PART):
+        raise CatalogError(f"exponent parts must be finite with |re|,|im| <= {MAX_POW_PART:g}")
 
 
 def _build_phi_over_n_pow(re: float, im: float):
@@ -269,7 +271,6 @@ def _build_phi_over_n_pow(re: float, im: float):
 
     return MultFunc(
         "phi_over_n_pow", {"re": re, "im": im}, vector,
-        value_class=(NONNEG if not is_complex else (UNIT_DISC if re >= 0 else GENERAL)),
         nonneg=not is_complex, unit_disc=re >= 0,
         complex_valued=is_complex, kappa=1.0 if not is_complex else None,
         mean_value_ok=True, eta_coeff=2.0 * 2.0 ** abs(re),
@@ -290,7 +291,6 @@ def _build_sigma_over_n_pow(re: float, im: float):
 
     return MultFunc(
         "sigma_over_n_pow", {"re": re, "im": im}, vector,
-        value_class=(NONNEG if not is_complex else (UNIT_DISC if re <= 0 else GENERAL)),
         nonneg=not is_complex, unit_disc=re <= 0,
         complex_valued=is_complex, kappa=1.0 if not is_complex else None,
         mean_value_ok=True, eta_coeff=2.0 * 2.0 ** abs(re),
@@ -299,7 +299,7 @@ def _build_sigma_over_n_pow(re: float, im: float):
 
 
 def _build_lambda(a: int, q: int):
-    a, q = int(a), int(q)
+    a, q = _int_param("a", a), _int_param("q", q)
     if q < 1:
         raise CatalogError("lambda needs q >= 1")
     a %= q
@@ -317,7 +317,7 @@ def _build_lambda(a: int, q: int):
 
     return MultFunc(
         "lambda", {"a": a, "q": q}, vector,
-        value_class=UNIT_DISC, nonneg=(a == 0), unit_disc=True,
+        nonneg=(a == 0), unit_disc=True,
         complex_valued=is_complex, kappa=1.0 if a == 0 else None,
         mean_value_ok=(a == 0), eta_coeff=2.0, prime_dev_coeff=0.0,
     )
@@ -332,7 +332,7 @@ def _build_r():
 
     return MultFunc(
         "r", {}, vector,
-        value_class=NONNEG, nonneg=True, unit_disc=False, complex_valued=False,
+        nonneg=True, unit_disc=False, complex_valued=False,
         kappa=1.0, mean_value_ok=False, eta_coeff=4.0,
     )
 
@@ -346,13 +346,13 @@ def _build_two_squares_indicator():
 
     return MultFunc(
         "two_squares_indicator", {}, vector,
-        value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
+        nonneg=True, unit_disc=True, complex_valued=False,
         kappa=0.5, mean_value_ok=False, eta_coeff=2.0,
     )
 
 
 def _build_principal_character(q: int):
-    q = int(q)
+    q = _int_param("q", q)
     if q < 1:
         raise CatalogError("principal_character needs q >= 1")
 
@@ -361,7 +361,7 @@ def _build_principal_character(q: int):
 
     return MultFunc(
         "principal_character", {"q": q}, vector,
-        value_class=NONNEG, nonneg=True, unit_disc=True, complex_valued=False,
+        nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=0.0,
     )
 
@@ -373,7 +373,7 @@ def _is_odd_prime(q: int) -> bool:
 
 
 def _build_quadratic_character(q: int):
-    q = int(q)
+    q = _int_param("q", q)
     if not _is_odd_prime(q):
         raise CatalogError("quadratic_character needs an odd prime modulus")
     # residue table: 1 on nonzero squares mod q, -1 on non-squares, 0 at 0
@@ -387,7 +387,7 @@ def _build_quadratic_character(q: int):
 
     return MultFunc(
         "quadratic_character", {"q": q}, vector,
-        value_class=UNIT_DISC, nonneg=False, unit_disc=True, complex_valued=False,
+        nonneg=False, unit_disc=True, complex_valued=False,
         kappa=None, mean_value_ok=False, eta_coeff=2.0,
     )
 
@@ -464,29 +464,19 @@ def parse_spec(spec: str) -> MultFunc:
 # derived descriptors
 # ---------------------------------------------------------------------------
 
-def restrict_coprime(f: MultFunc, y: float, with_sigma_weight: bool = False) -> MultFunc:
-    """Kill all prime factors p <= y; optionally reweight by sigma(p^j)/p^j.
-
-    Without the weight this is a_y(n) = f(n) * [gcd(n, prod_{p<=y} p) = 1];
-    with it, b_y(n) = f(n) (sigma(n)/n) on the same support.
-    """
+def restrict_coprime(f: MultFunc, y: float) -> MultFunc:
+    """Kill all prime factors p <= y: a_y(n) = f(n) * [gcd(n, prod_{p<=y} p) = 1]."""
     y = float(y)
     if y < 2:
         raise ValueError("coprimality cut y must be >= 2")
 
     def vector(ps, j):
-        v = f.prime_powers(ps, j)
-        if with_sigma_weight:
-            v = v * _sigma_ratio_vec(ps, j)
-        return np.where(ps <= y, 0, v)
+        return np.where(ps <= y, 0, f.prime_powers(ps, j))
 
-    tag = "coprime_sigma" if with_sigma_weight else "coprime"
     return MultFunc(
-        f"{f.id}~{tag}>{y:g}", f.params, vector,
-        value_class=f.value_class if not with_sigma_weight else GENERAL,
-        nonneg=f.nonneg, unit_disc=f.unit_disc and not with_sigma_weight,
+        f"{f.id}~coprime>{y:g}", f.params, vector,
+        nonneg=f.nonneg, unit_disc=f.unit_disc,
         complex_valued=f.complex_valued, kappa=f.kappa,
-        mean_value_ok=f.mean_value_ok,
-        eta_coeff=f.eta_coeff * (2.0 if with_sigma_weight else 1.0),
-        prime_dev_coeff=f.prime_dev_coeff + (1.0 if with_sigma_weight else 0.0),
+        mean_value_ok=f.mean_value_ok, eta_coeff=f.eta_coeff,
+        prime_dev_coeff=f.prime_dev_coeff,
     )

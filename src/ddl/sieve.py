@@ -64,7 +64,7 @@ SIGMA_TABLE_BUDGET_BYTES = 2_000_000_000
 
 
 class SieveError(ValueError):
-    """Invalid sieve request (bounds, segment size, cache directory)."""
+    """Invalid sieve request (bounds, segment size, worker count, cache directory)."""
 
 
 class ResourceLimitError(SieveError):
@@ -260,14 +260,16 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
     """
     x = int(x)
     _check_bounds(1, x)
-    size = int(segment_size or DEFAULT_SEGMENT_SIZE)
+    size = DEFAULT_SEGMENT_SIZE if segment_size is None else int(segment_size)
     if size < 16:
         raise SieveError("segment_size must be >= 16")
+    if workers < 1:
+        raise SieveError("workers must be >= 1")
     fdesc = None if (f is None or f.is_one) else f
     primes = primes_up_to(isqrt(x))
     fpow = _prime_power_table(primes, fdesc, x)
     bounds = [(lo, min(lo + size - 1, x)) for lo in range(1, x + 1, size)]
-    if workers <= 1:
+    if workers == 1:
         for lo, hi in bounds:
             yield _scan_one(lo, hi, primes, fdesc, fpow, with_omega, cache_dir)
         return

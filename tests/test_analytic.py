@@ -9,8 +9,7 @@ import pytest
 import ddl
 from ddl.analytic import (WitnessNotFound, _level_tables, char_function,
                           continuity_diagnostic, greedy_witness, halasz_series,
-                          hypothesis_partial_sums, mean_value_product,
-                          mertens_kappa, wirsing_prediction)
+                          mean_value_product, mertens_kappa, wirsing_prediction)
 from ddl.multfunc import evaluate, make
 from ddl.sieve import primes_up_to
 
@@ -237,12 +236,3 @@ def test_greedy_witness_budget_failure():
     with pytest.raises(WitnessNotFound):
         greedy_witness(ONE, Fraction(2, 5), Fraction(1, 2), p_cap=2)
 
-
-def test_hypothesis_partial_sums():
-    phi = hypothesis_partial_sums(make("phi_over_n"), 10 ** 5)
-    assert phi["abs_prime"] < 0.46  # sum 1/p^2 over primes
-    assert phi["higher"] < 1.0
-    # Delange series for mu diverges like -2 log log P
-    small = hypothesis_partial_sums(make("mu"), 10 ** 3)["delange_re"]
-    big = hypothesis_partial_sums(make("mu"), 10 ** 5)["delange_re"]
-    assert big < small < 0

@@ -222,6 +222,14 @@ def test_sieve_cache_sieves_instead_of_copying(tmp_path, monkeypatch):
     assert np.array_equal(read_segment_cache(new, 1, x), expect)
 
 
+def exit_code(*argv):
+    """Exit code of a CLI call, whether main returns it or argparse exits."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run_cli("estimate", "--f", "nonexistent", "--x", "100") == 2
     assert "unknown catalog id" in capsys.readouterr().err
@@ -232,6 +240,35 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("estimate", "--x", "100")  # missing --f
     assert exc.value.code == 2
+    # bad numbers give exit 2, never a traceback or a silent default
+    est = ("estimate", "--f", "one", "--x")
+    assert exit_code(*est, "inf") == 2
+    assert exit_code(*est, "1e400") == 2
+    assert exit_code(*est, "100", "--segment-size", "0") == 2
+    assert exit_code(*est, "100", "--workers", "0") == 2
+    assert exit_code(*est, "100", "--workers", "-2") == 2
+    psi = ("analytic", "psi", "--f", "one", "--P", "100", "--t")
+    assert exit_code(*psi, "bogus") == 2
+    assert exit_code(*psi, "linspace:0,1,-5") == 2
+    assert exit_code(*psi, "0,nan") == 2
+    assert exit_code("invert", "--f", "one", "--P", "100", "--points", "bogus") == 2
+    assert exit_code("invert", "--f", "one", "--P", "100", "--step", "0") == 2
+    assert exit_code("compare", "--f", "one", "--x", "100", "--P", "100", "--step", "0") == 2
+    for T, step in (("nan", "0.05"), ("inf", "0.05"), ("200", "nan"), ("200", "-0.05")):
+        assert exit_code("invert", "--f", "one", "--P", "100", "--T", T, "--step", step) == 2
+    # T need not be a multiple of the step: the grid stops at floor(T/step)*step
+    for T, step in (("10", "0.6"), ("100", "0.06")):
+        assert exit_code("invert", "--f", "one", "--P", "100", "--T", T, "--step", step) == 0
+        assert exit_code("compare", "--f", "one", "--x", "1000", "--P", "100",
+                         "--T", T, "--step", step) == 0
+    for beta in ("nan", "inf"):
+        assert exit_code("analytic", "halasz", "--f", "mu", "--beta", beta, "--P", "100") == 2
+    for spec in ("lfree:l=2.5", "lambda:a=1.5,q=3", "principal_character:q=6.5"):
+        assert exit_code("estimate", "--f", spec, "--x", "100") == 2
+    assert exit_code("analytic", "mean", "--f", "phi_over_n_pow:re=nan,im=0", "--P", "100") == 2
+    # a modulus whose tally would not fit in memory is refused before allocating
+    assert exit_code("equidist", "--mode", "omega", "--q", "100000000000",
+                     "--u", "1/2", "--x", "100") == 3
 
 
 def test_console_script_entry():

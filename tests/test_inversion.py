@@ -20,7 +20,7 @@ def flat_profile(T=200.0, h=0.05, symmetric=False):
     if symmetric:
         ts = np.concatenate([-ts[:0:-1], ts])
     vals = np.ones(ts.size, dtype=complex)
-    return CharFnProfile("point-mass", ts, vals, np.zeros(ts.size), 0, None)
+    return CharFnProfile("point-mass", ts, vals, np.zeros(ts.size), 0)
 
 
 def test_point_mass_inversion():
@@ -35,7 +35,7 @@ def test_gaussian_law_inversion():
     ts = np.arange(0.0, T + h / 2, h)
     sig = 0.3
     vals = np.exp(-1j * ts - 0.5 * sig ** 2 * ts ** 2)
-    prof = CharFnProfile("gauss", ts, vals, np.zeros(ts.size), 0, None)
+    prof = CharFnProfile("gauss", ts, vals, np.zeros(ts.size), 0)
     pts = np.array([-1.6, -1.0, -0.7, -0.4])
     inv = invert(prof, pts)
     expect = 0.5 * (1 + np.array([math.erf((p + 1) / (sig * math.sqrt(2))) for p in pts]))
@@ -43,17 +43,18 @@ def test_gaussian_law_inversion():
 
 
 def test_symmetric_profile_real_output():
-    # a profile on a symmetric grid is read through its t >= 0 half, so it
-    # inverts to the values of its one-sided twin
+    # invert reads the profile on its own grid t_k = k*step only: a symmetric
+    # grid and a grid at half the step's spacing are refused, not searched
     h, T = 0.05, 50.0
-    ts = np.arange(-T, T + h / 2, h)
     f = make("tau")
-    prof = char_function(f, ts, 10 ** 4)
-    inv = invert(prof, np.array([-1.0, -0.5, -0.2]), T=T, step=h)
+    pts = np.array([-1.0, -0.5, -0.2])
+    symmetric = char_function(f, np.arange(-T, T + h / 2, h), 10 ** 4)
+    half_spacing = char_function(f, np.arange(0.0, T + h / 4, h / 2), 10 ** 4)
+    for prof in (symmetric, half_spacing):
+        with pytest.raises(InversionError):
+            invert(prof, pts, T=T, step=h)
     one_sided = char_function(f, np.arange(0.0, T + h / 2, h), 10 ** 4)
-    inv2 = invert(one_sided, np.array([-1.0, -0.5, -0.2]), T=T, step=h)
-    assert inv.raw.dtype == np.float64
-    assert np.max(np.abs(inv.raw - inv2.raw)) <= 1e-12
+    assert invert(one_sided, pts, T=T, step=h).raw.dtype == np.float64
 
 
 def test_support_edge_value_is_total_mass():
@@ -148,9 +149,15 @@ def test_profile_grid_validation():
     with pytest.raises(InversionError):
         invert(prof, np.array([-0.5, -0.6]), T=10.0, step=0.05)  # not ascending
     ragged = CharFnProfile("bad", np.array([0.0, 0.1, 0.15, 0.4]),
-                           np.ones(4, complex), np.zeros(4), 0, None)
+                           np.ones(4, complex), np.zeros(4), 0)
     with pytest.raises(InversionError):
         invert(ragged, np.array([-0.5]), T=0.4, step=0.1)
+    # nodes past floor(T/step)*step are not used: a profile that runs on to
+    # 10.0 inverts at T = 9.7 exactly as one cut at 9.7 does
+    cut = char_function(ONE, np.arange(0.0, 9.7001, 0.05), 10 ** 3)
+    pts = np.array([-0.5, -0.2])
+    assert np.array_equal(invert(prof, pts, T=9.7, step=0.05).raw,
+                          invert(cut, pts, T=9.7, step=0.05).raw)
 
 
 def test_disjoint_supports_rejected():

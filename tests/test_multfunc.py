@@ -157,10 +157,8 @@ def test_sigma_power_twist_full_values(k):
 def test_restrict_coprime_values():
     one = make("one")
     a5 = restrict_coprime(one, 5.0)
-    b5 = restrict_coprime(one, 5.0, with_sigma_weight=True)
     assert a5.prime_power(3, 1) == 0
     assert a5.prime_power(7, 1) == 1
-    assert b5.prime_power(7, 1) == pytest.approx(8 / 7, rel=1e-15)
     ps = np.array([2, 3, 5, 7, 11], dtype=np.int64)
     assert list(a5.at_primes(ps)) == [0, 0, 0, 1, 1]
 
@@ -181,6 +179,13 @@ def test_parse_spec_round_trip_and_errors():
         parse_spec("phi_over_n_pow:re=9,im=0")   # exponent cap
     with pytest.raises(CatalogError):
         parse_spec("quadratic_character:q=9")    # not prime
+    # an integer parameter is refused when not integral, never truncated,
+    # and an exponent part must be finite
+    for bad in ("lfree:l=2.5", "lfree:l=inf", "lambda:a=1.5,q=3",
+                "principal_character:q=6.5", "quadratic_character:q=7.5",
+                "phi_over_n_pow:re=nan,im=0", "sigma_over_n_pow:re=0,im=nan"):
+        with pytest.raises(CatalogError):
+            parse_spec(bad)
 
 
 def test_immutability_and_metadata():
