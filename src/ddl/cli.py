@@ -33,7 +33,7 @@ from .empirical import (GridError, ThresholdGrid, equidist_tally,
 from .analytic import (WitnessNotFound, char_function, continuity_diagnostic,
                        greedy_witness, halasz_series, mean_value_product,
                        mertens_kappa, wirsing_prediction)
-from .inversion import InversionError, _quadrature_grid, invert, sup_distance
+from .inversion import InversionError, _quadrature_grid, _t_nodes, invert, sup_distance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,15 +65,18 @@ def _fraction_arg(s: str) -> Fraction:
 
 def _parse_t_spec(spec: str) -> np.ndarray:
     """Parsed in the handler, so the flag is echoed as given; a bad spec
-    raises ValueError, which main reports with exit code 2."""
+    raises ValueError, which main reports with exit code 2, and a linspace
+    over the node cap ResourceLimitError (exit code 3)."""
     try:
         if spec.startswith("linspace:"):
             a, b, n = spec.split(":", 1)[1].split(",")
-            ts = np.linspace(float(a), float(b), int(n))
+            ts = np.linspace(float(a), float(b), _t_nodes(int(n)))
         else:
             ts = np.array([float(v) for v in spec.split(",")])
         if np.all(np.isfinite(ts)):
             return ts
+    except ResourceLimitError:
+        raise
     except ValueError:
         pass
     raise ValueError(f"bad t spec {spec!r}: want a comma list or linspace:a,b,n of finite values")

@@ -2,9 +2,13 @@
 
 The central estimator accumulates, for each rational threshold u = num/den in
 a grid, the sum of f(n) over n <= x with n * den <= num * sigma(n).  The
-qualification test is done in exact integer arithmetic: a float binary search
-proposes the first qualifying grid index for each n and integer comparisons
-then correct it, so no floating-point rounding can ever change a raw count.
+qualification test is done in exact integer arithmetic.  With D the lcm of
+the grid denominators (capped at _BUCKET_CAP), the integer bucket
+k = ceil(D n / sigma(n)) indexes a table, built once per grid, of the first
+grid index j with u_j > (k-1)/D.  That is the answer unless a threshold lies
+strictly inside the bucket, which needs the cap; those n alone step up by
+exact comparisons n * den <= num * sigma(n), never past the first index with
+u_j >= k/D.  No floating-point rounding can change a raw count.
 Two normalizations are provided: by x (plain density) and by S(f;x) =
 sum_{n<=x} f(n) (self-normalized, so the value at u = 1 is exactly 1).
 
@@ -42,6 +46,7 @@ __all__ = [
 
 MAX_DENOMINATOR = 1_000_000
 LATTICE_LIMIT = 100_000_000  # sigma table of this size is ~0.8 GB
+_BUCKET_CAP = 1 << 20  # most qualification buckets; D * n < 2^52 for n <= SIEVE_LIMIT
 
 
 class GridError(ValueError):
@@ -123,31 +128,41 @@ def _check_threshold_products(x: int, grid: ThresholdGrid):
             f"threshold products for x = {x} would overflow 64-bit integers")
 
 
-def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid) -> np.ndarray:
-    """Per element, the smallest grid index j with n * den_j <= num_j * sigma(n).
+def _bucket_tables(grid: ThresholdGrid):
+    """(D, lo, hi) with D = min(lcm of the denominators, _BUCKET_CAP), lo[k]
+    the first index j with u_j > (k-1)/D and hi[k] the first with
+    u_j >= k/D; hi is None when it equals lo, i.e. no threshold lies
+    strictly inside a bucket, as when D is the lcm."""
+    D = 1
+    for d in set(grid.dens.tolist()):
+        D = min(math.lcm(D, d), _BUCKET_CAP)
+    scaled, k = grid.nums * D, np.arange(D + 1)
+    lo = np.searchsorted(-(-scaled // grid.dens) + 1, k, side="right")  # k < ceil(u_j D) + 1
+    hi = np.searchsorted(scaled // grid.dens, k, side="left")  # k <= floor(u_j D)
+    return D, lo, None if np.array_equal(lo, hi) else hi
 
-    Returns len(grid) where no threshold qualifies.  Float search proposes,
-    exact int64 comparisons correct; the result is independent of floating
-    point behaviour.
+
+def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
+                      tables) -> np.ndarray:
+    """Per element, the smallest grid index j with n * den_j <= num_j * sigma(n),
+    or len(grid) where none qualifies.
+
+    k = ceil(D n / sigma(n)) puts n/sigma(n) in ((k-1)/D, k/D], so the answer
+    is lo[k] unless thresholds lie strictly inside that bucket; only those
+    elements step up by exact comparisons, at most to hi[k].  All of it is
+    int64 arithmetic (_check_threshold_products).
     """
-    nums, dens = grid.nums, grid.dens
-    m = len(nums)
-    rho = n / sigma
-    idx = np.searchsorted(grid.floats, rho, side="left").astype(np.int64)
-    while True:  # move down while the previous threshold already qualifies
-        can = idx > 0
-        j = np.where(can, idx - 1, 0)
-        ok = can & (dens[j] * n <= nums[j] * sigma)
-        if not ok.any():
-            break
-        idx[ok] -= 1
-    while True:  # move up while the current threshold does not qualify
-        can = idx < m
-        j = np.where(can, idx, m - 1)
-        bad = can & (dens[j] * n > nums[j] * sigma)
-        if not bad.any():
-            break
-        idx[bad] += 1
+    D, lo, hi = tables
+    k = (n * D + sigma - 1) // sigma
+    idx = np.take(lo, k)
+    if hi is None:
+        return idx
+    act = np.nonzero(idx < np.take(hi, k))[0]
+    while act.size:
+        j = idx[act]
+        act = act[grid.dens[j] * n[act] > grid.nums[j] * sigma[act]]
+        idx[act] += 1
+        act = act[idx[act] < hi[k[act]]]
     return idx
 
 
@@ -156,10 +171,11 @@ def _histogram(f, x, grid, *, segment_size=None, workers=1, cache_dir=None):
     m = len(grid)
     counts_only = f is None or f.is_one
     hist = np.zeros(m + 1, dtype=np.int64 if counts_only else np.complex128)
+    tables = _bucket_tables(grid)
     for chunk in scan_segments(x, f=None if counts_only else f,
                                segment_size=segment_size, workers=workers,
                                cache_dir=cache_dir):
-        idx = _first_qualifying(chunk.n, chunk.sigma, grid)
+        idx = _first_qualifying(chunk.n, chunk.sigma, grid, tables)
         if counts_only:
             hist += np.bincount(idx, minlength=m + 1)
         else:
@@ -267,19 +283,12 @@ def lattice_circle_cdf(R: int, grid: ThresholdGrid | None = None, *,
     sig = sigma_table(R, segment_size=segment_size, workers=workers, cache_dir=cache_dir)
     m = len(grid)
     hist = np.zeros(m + 1, dtype=np.int64)
-    root = isqrt(R)
-    for a in range(1, root + 1):
-        a2 = a * a
-        # axis points (±a, 0), (0, ±a): n = a^2, multiplicity 4 handled below
-        idx = _first_qualifying(np.array([a2], dtype=np.int64),
-                                sig[a2: a2 + 1], grid)
-        hist[idx[0]] += 1
-        rest = R - a2
-        if rest >= 1:
-            ys = np.arange(1, isqrt(rest) + 1, dtype=np.int64)
-            ns = a2 + ys * ys
-            idx = _first_qualifying(ns, sig[ns], grid)
-            hist += np.bincount(idx, minlength=m + 1)
+    tables = _bucket_tables(grid)
+    for a in range(1, isqrt(R) + 1):
+        # the points (a, y), y >= 0, of one quadrant; 4 * hist counts all four
+        ys = np.arange(isqrt(R - a * a) + 1, dtype=np.int64)
+        ns = a * a + ys * ys
+        hist += np.bincount(_first_qualifying(ns, sig[ns], grid, tables), minlength=m + 1)
     raw, _ = _finalize(4 * hist, m)
     return WeightedCdfEstimate("lattice_two_squares", R, grid, raw, math.pi * R, "lattice")
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .analytic import CharFnProfile
 from .empirical import WeightedCdfEstimate
+from .sieve import ResourceLimitError
 
 __all__ = ["InversionError", "InvertedCdf", "CdfComparison", "invert", "sup_distance"]
 
@@ -45,6 +46,8 @@ DEFAULT_STEP = 0.05
 DEFAULT_SLACK = 0.02
 # The slack is promised at |x0| >= RESOLVED_WIDTH / T (and at x0 = 0).
 RESOLVED_WIDTH = 1.5
+# Most nodes a t grid may hold; the grid alone is then 80 MB.
+_MAX_T_NODES = 10 ** 7
 
 
 class InversionError(ValueError):
@@ -69,6 +72,13 @@ class InvertedCdf:
     slack_exceeded: bool
 
 
+def _t_nodes(count: int) -> int:
+    """count, unless a t grid of that many nodes is refused (before it is built)."""
+    if count > _MAX_T_NODES:
+        raise ResourceLimitError(f"{count} t nodes requested, over the {_MAX_T_NODES} cap")
+    return count
+
+
 def _quadrature_grid(T: float, step: float) -> np.ndarray:
     """The t grid the quadrature runs on: k*step for k = 0..floor(T/step)."""
     if not (step > 0 and math.isfinite(T / step)):
@@ -76,7 +86,7 @@ def _quadrature_grid(T: float, step: float) -> np.ndarray:
     m = int(math.floor(T / step + 1e-9))
     if m < 3:
         raise InversionError("T / step leaves too few quadrature nodes")
-    return step * np.arange(m + 1)
+    return step * np.arange(_t_nodes(m + 1))
 
 
 def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,

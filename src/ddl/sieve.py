@@ -22,6 +22,7 @@ sieved again.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -59,7 +60,8 @@ CACHE_MAGIC = b"SGMA"
 CACHE_VERSION = 2
 _CACHE_HEADER = struct.Struct("<4sIIII")  # magic, version, lo, hi, crc32 of payload  (20 bytes)
 
-# Largest dense sigma table sigma_table will allocate.
+# Largest dense sigma table sigma_table will allocate, and the largest
+# sieve mask plus prime list primes_up_to will.
 SIGMA_TABLE_BUDGET_BYTES = 2_000_000_000
 
 
@@ -75,19 +77,28 @@ _PRIME_CACHE: dict[int, np.ndarray] = {}
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (treat as read-only)."""
+    """All primes <= limit as an int64 array (treat as read-only), by a
+    sieve over the odd numbers: slot i is 2i + 1, and slot 0 is 2, not 1."""
     limit = int(limit)
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     cached = _PRIME_CACHE.get(limit)
     if cached is not None:
         return cached
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    ps = np.nonzero(mask)[0].astype(np.int64)
+    need = (limit + 1) // 2 + 10 * limit / math.log(limit)  # mask + 8 pi(limit), pi(x) < 1.26 x/ln x
+    if need > SIGMA_TABLE_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"primes up to {limit} need {need / 1e9:.1f} GB, "
+            f"over the {SIGMA_TABLE_BUDGET_BYTES / 1e9:.1f} GB budget")
+    mask = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if mask[i]:
+            p = 2 * i + 1
+            mask[p * p // 2:: p] = False
+    ps = np.flatnonzero(mask).astype(np.int64, copy=False)
+    ps *= 2
+    ps += 1
+    ps[0] = 2
     # keep only the most recent two requests; big prime lists are ~50 MB
     if len(_PRIME_CACHE) >= 2:
         _PRIME_CACHE.pop(next(iter(_PRIME_CACHE)))

@@ -36,6 +36,16 @@ def sigma_table_brute(N: int) -> np.ndarray:
     return out
 
 
+def primes_brute(y: int) -> np.ndarray:
+    """Primes <= y as int64, by a plain boolean Eratosthenes sieve over every n."""
+    is_p = np.ones(y + 1, dtype=bool)
+    is_p[:2] = False
+    for d in range(2, isqrt(y) + 1):
+        if is_p[d]:
+            is_p[d * d::d] = False
+    return np.nonzero(is_p)[0].astype(np.int64)
+
+
 def phi_brute(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
@@ -154,14 +164,9 @@ def r_rough_euler_product(y: int) -> float:
     r(2^j) = 1, r(p^j) = j + 1 for p = 1 mod 4 and [j even] for p = 3 mod 4,
     so plain(p) = sum_j r(p^j)/p^j is 2, (1 - 1/p)^-2 and (1 - p^-2)^-1.  The
     product is the limiting r-weighted share of the n with no prime factor
-    <= y.  Primes come from a plain boolean Eratosthenes sieve.
+    <= y.  Primes come from primes_brute.
     """
-    is_p = np.ones(y + 1, dtype=bool)
-    is_p[:2] = False
-    for d in range(2, isqrt(y) + 1):
-        if is_p[d]:
-            is_p[d * d::d] = False
-    p = np.nonzero(is_p)[0].astype(np.float64)
+    p = primes_brute(y).astype(np.float64)
     log_plain = np.where(p % 4 == 1, -2.0 * np.log1p(-1.0 / p), -np.log1p(-p ** -2.0))
     log_plain[p == 2] = math.log(2.0)
     return math.exp(-float(log_plain.sum()))

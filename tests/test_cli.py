@@ -271,6 +271,35 @@ def test_exit_codes(tmp_path, capsys):
                      "--u", "1/2", "--x", "100") == 3
 
 
+def test_oversized_requests_refused_before_allocating():
+    # the calls run in a child whose address space is capped at 3 GiB, so a
+    # refusal that came after its allocation would end in a MemoryError
+    calls = [["analytic", "mean", "--f", "one", "--P", "1e11"],
+             ["analytic", "kappa", "--f", "one", "--x", "1e11"],
+             ["analytic", "witness", "--f", "one", "--v", "0", "--u", "1/2",
+              "--p-cap", "1e11"],
+             ["invert", "--f", "one", "--P", "100", "--T", "1e10"],
+             ["invert", "--f", "one", "--P", "100", "--step", "1e-6"],
+             ["invert", "--f", "one", "--P", "100", "--points", "linspace:-1,0,100000000000"],
+             ["compare", "--f", "one", "--x", "100", "--P", "100", "--T", "1e10"],
+             ["analytic", "psi", "--f", "one", "--P", "100",
+              "--t", "linspace:0,1,100000000000"]]
+    script = ("import json, os, resource, sys\n"
+              "from ddl.cli import main\n"
+              "cap, hard = 3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+              "if hard != resource.RLIM_INFINITY:\n"
+              "    cap = min(cap, hard)\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+              "print(json.dumps([main(c + ['--out', os.devnull]) for c in json.loads(sys.argv[1])]))")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [3] * len(calls)
+    assert proc.stderr.count("resource refusal") == len(calls)
+
+
 def test_console_script_entry():
     proc = subprocess.run([sys.executable, "-m", "ddl.cli", "--version"],
                           capture_output=True, text=True)

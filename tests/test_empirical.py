@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import ddl
 from ddl.cli import main as cli_main
-from ddl.empirical import (GridError, ThresholdGrid, empirical_char_function,
+from ddl.empirical import (_BUCKET_CAP, GridError, ThresholdGrid, _bucket_tables,
+                           _first_qualifying, empirical_char_function,
                            equidist_tally, estimate_normalized_cdf,
                            estimate_weighted_cdf, lattice_circle_cdf,
                            partial_summation_check, smoothed_indicator_mean)
 from ddl.multfunc import evaluate, make
-from ddl.sieve import ResourceLimitError
+from ddl.sieve import SIEVE_LIMIT, ResourceLimitError
 
 import oracles
 
@@ -105,6 +106,76 @@ def test_exact_ties_are_inclusive(brute_tables):
     strictly = sum(1 for n in range(1, 10 ** 4 + 1)
                    if 2 * n < oracles.sigma_brute(n))
     assert below - strictly == 4
+
+
+QUAL_X = 10 ** 5
+# exact ties below 1e5: the perfect numbers on 1/2, 120 and 672 on 1/3,
+# 30240 on 1/4
+TIES = {Fraction(1, 2): (6, 28, 496, 8128), Fraction(1, 3): (120, 672),
+        Fraction(1, 4): (30240,)}
+
+
+@pytest.fixture(scope="module")
+def qual_sigma():
+    return oracles.sigma_table_brute(QUAL_X)
+
+
+def tight_grid(sig):
+    """Thresholds inside 2^-20-wide buckets: n/sigma(n) for a few n, and its
+    neighbours a/b, (a + 1)/b for primes b near 1e6, plus the ties."""
+    us = {Fraction(0), Fraction(1), *TIES}
+    for n in (65536, 77777, 99991, 54321, 12345, 31415, 720, 2310):
+        r = Fraction(n, int(sig[n]))
+        us.add(r)
+        for b in (999983, 999979):
+            a = r.numerator * b // r.denominator
+            us.update((Fraction(a, b), Fraction(a + 1, b)))
+    return ThresholdGrid(sorted(us))
+
+
+def check_bucket_tables(grid, ks):
+    # lo[k]: first u_j > (k-1)/D; hi[k]: first u_j >= k/D, from Fractions
+    D, lo, hi = _bucket_tables(grid)
+    fr = grid.fractions
+    for k in ks:
+        want_lo = next((j for j, u in enumerate(fr) if u > Fraction(k - 1, D)), len(fr))
+        want_hi = next((j for j, u in enumerate(fr) if u >= Fraction(k, D)), len(fr))
+        assert lo[k] == want_lo, k
+        assert (lo if hi is None else hi)[k] == want_hi, k
+
+
+@pytest.mark.parametrize("kind", ["lcm", "capped"])
+def test_first_qualifying_matches_brute(kind, qual_sigma):
+    sig = qual_sigma
+    if kind == "lcm":
+        grid = ThresholdGrid.parse("0,1/7,1/4,1/3,2/5,1/2,4/7,3/5,2/3,5/6,1")
+    else:
+        grid = tight_grid(sig)
+    D, lo, hi = _bucket_tables(grid)
+    n = np.arange(1, QUAL_X + 1, dtype=np.int64)
+    got = _first_qualifying(n, sig[1:], grid, (D, lo, hi))
+    want = [oracles.brute_first_qualifying(int(v), int(sig[v]), grid.fractions) for v in n]
+    assert got.tolist() == want
+    for u, ns in TIES.items():
+        for v in ns:
+            assert got[v - 1] == grid.index(u)
+    k = -(-D * n // sig[1:])
+    if kind == "lcm":
+        assert D == 420 and hi is None  # every threshold on a bucket edge
+        check_bucket_tables(grid, range(D + 1))
+    else:
+        assert D == _BUCKET_CAP
+        inside = lo[k] < hi[k]
+        # the bounded correction runs, stops inside buckets and at their top
+        assert np.any(inside & (got > lo[k]) & (got < hi[k]))
+        assert np.any(inside & (got == hi[k]))
+        assert np.any(inside & (got == lo[k]))
+        edges = {(D * u.numerator) // u.denominator + d for u in grid.fractions for d in (0, 1, 2)}
+        check_bucket_tables(grid, sorted(e for e in edges if e <= D))
+
+
+def test_bucket_products_fit_int64():
+    assert _BUCKET_CAP * SIEVE_LIMIT < 2 ** 62
 
 
 def test_lattice_trivial_and_brute():

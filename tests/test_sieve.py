@@ -25,6 +25,11 @@ def test_primes_up_to():
     assert list(ps[:10]) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(ps) == 25
     assert primes_up_to(1).size == 0
+    # the odds-only sieve gives the plain sieve's array, dtype included
+    for limit in (0, 1, 2, 3, 4, 9, 25, 10 ** 4, 10 ** 6 + 3):
+        ps = primes_up_to(limit)
+        assert ps.dtype == np.int64
+        assert np.array_equal(ps, oracles.primes_brute(limit)), limit
 
 
 def test_segment_examples():
