@@ -15,10 +15,10 @@ from .multfunc import (CatalogError, MultFunc, catalog_ids, evaluate, make,
 from .sieve import (ResourceLimitError, SieveError, primes_up_to, scan_segments,
                     sigma_table)
 from .empirical import (EquidistTally, GridError, ThresholdGrid,
-                        WeightedCdfEstimate, empirical_char_function,
-                        equidist_tally, estimate_normalized_cdf,
-                        estimate_weighted_cdf, lattice_circle_cdf,
-                        partial_summation_check, smoothed_indicator_mean)
+                        WeightedCdfEstimate, equidist_tally,
+                        estimate_normalized_cdf, estimate_weighted_cdf,
+                        lattice_circle_cdf, partial_summation_check,
+                        smoothed_indicator_mean)
 from .analytic import (CharFnProfile, EulerProductValue, WitnessNotFound,
                        char_function, continuity_diagnostic, greedy_witness,
                        halasz_series, mean_value_product, mertens_kappa,

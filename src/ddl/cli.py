@@ -33,7 +33,8 @@ from .empirical import (GridError, ThresholdGrid, equidist_tally,
 from .analytic import (WitnessNotFound, char_function, continuity_diagnostic,
                        greedy_witness, halasz_series, mean_value_product,
                        mertens_kappa, wirsing_prediction)
-from .inversion import InversionError, _quadrature_grid, _t_nodes, invert, sup_distance
+from .inversion import (InversionError, _check_matrix_size, _quadrature_grid, _t_nodes,
+                        invert, sup_distance)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -271,9 +272,10 @@ def _invert_points(spec: str) -> np.ndarray:
 
 def _cmd_invert(args, t0):
     f = parse_spec(args.f)
-    prof = char_function(f, _quadrature_grid(args.T, args.step), args.P)
+    ts = _quadrature_grid(args.T, args.step)
     points = _invert_points(args.points)
-    inv = invert(prof, points, T=args.T, step=args.step)
+    _check_matrix_size(points.size, ts)  # all refusals come before the product
+    inv = invert(char_function(f, ts, args.P), points, T=args.T, step=args.step)
     payload = {
         "meta": _meta(args, t0),
         "T": inv.T, "step": inv.step, "eps": inv.eps, "P": args.P,
@@ -289,10 +291,11 @@ def _cmd_invert(args, t0):
 def _cmd_compare(args, t0):
     f = parse_spec(args.f)
     grid = ThresholdGrid.parse(args.grid)
-    ts = _quadrature_grid(args.T, args.step)  # refuses a bad T or step before the sieve runs
+    ts = _quadrature_grid(args.T, args.step)
+    _, logs = grid.log_points()
+    _check_matrix_size(logs.size, ts)  # all refusals come before the sieve runs
     est = estimate_weighted_cdf(f, args.x, grid, **_common_kwargs(args))
     prof = char_function(f, ts, args.P)
-    _, logs = grid.log_points()
     inv = invert(prof, logs, T=args.T, step=args.step)
     cmpres = sup_distance(est, inv)
     payload = {

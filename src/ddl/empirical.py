@@ -14,8 +14,14 @@ sum_{n<=x} f(n) (self-normalized, so the value at u = 1 is exactly 1).
 
 Also here: the lattice-point version for sums of two squares, tent-smoothed
 estimates, equidistribution tallies of Omega(n) mod q and of coprime residue
-classes, a partial-summation identity check, and the empirical characteristic
-function of log(n/sigma(n)).
+classes, and a partial-summation identity check.
+
+Every sieve-side statistic is one pass of _scan_sum: a reducer maps each
+scan chunk to its weighted sum of f(n) w(n), binned by np.bincount or plain
+by np.sum, through the one rule _weighted_sum, and the chunk sums are added
+in segment order.  f = 1 sums are exact int64 counts.  Each estimator takes
+the scan keywords segment_size, workers and cache_dir of
+sieve.scan_segments; integer-valued results do not depend on them.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ __all__ = [
     "smoothed_indicator_mean",
     "equidist_tally",
     "partial_summation_check",
-    "empirical_char_function",
 ]
 
 MAX_DENOMINATOR = 1_000_000
@@ -93,8 +98,8 @@ class ThresholdGrid:
                 n = int(spec.split(":", 1)[1])
             except ValueError:
                 raise GridError(f"bad steps spec {spec!r}") from None
-            if n < 1:
-                raise GridError("steps must be >= 1")
+            if not 1 <= n <= MAX_DENOMINATOR:  # refused before the n + 1 thresholds are built
+                raise GridError(f"steps must lie in [1, {MAX_DENOMINATOR}]")
             return cls.default(n)
         try:
             return cls(Fraction(part.strip()) for part in spec.split(","))
@@ -166,27 +171,6 @@ def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
     return idx
 
 
-def _histogram(f, x, grid, *, segment_size=None, workers=1, cache_dir=None):
-    """First-qualifying-index histogram over [1, x]; last bin = never qualifies."""
-    m = len(grid)
-    counts_only = f is None or f.is_one
-    hist = np.zeros(m + 1, dtype=np.int64 if counts_only else np.complex128)
-    tables = _bucket_tables(grid)
-    for chunk in scan_segments(x, f=None if counts_only else f,
-                               segment_size=segment_size, workers=workers,
-                               cache_dir=cache_dir):
-        idx = _first_qualifying(chunk.n, chunk.sigma, grid, tables)
-        if counts_only:
-            hist += np.bincount(idx, minlength=m + 1)
-        else:
-            fv = chunk.fvals
-            part = np.bincount(idx, weights=fv.real, minlength=m + 1).astype(np.complex128)
-            if np.iscomplexobj(fv):
-                part += 1j * np.bincount(idx, weights=fv.imag, minlength=m + 1)
-            hist += part
-    return hist
-
-
 @dataclass(frozen=True)
 class WeightedCdfEstimate:
     """Accumulated threshold sums plus their normalization.
@@ -199,7 +183,7 @@ class WeightedCdfEstimate:
     f_id: str
     x: int
     grid: ThresholdGrid
-    raw: np.ndarray
+    raw: np.ndarray  # complex128
     normalizer: float
     mode: str  # "df" | "dtilde" | "lattice"
 
@@ -215,8 +199,7 @@ class WeightedCdfEstimate:
 
     def raw_counts(self) -> np.ndarray:
         """Raw sums as exact int64 counts (valid for integer-valued weights)."""
-        re = self.raw.real if np.iscomplexobj(self.raw) else self.raw
-        return np.rint(np.asarray(re, dtype=np.float64)).astype(np.int64)
+        return np.rint(self.raw.real).astype(np.int64)
 
     def log_cdf(self):
         """(log u, value) pairs over the strictly positive thresholds."""
@@ -225,11 +208,44 @@ class WeightedCdfEstimate:
         return logs, np.asarray(vals[pos].real, dtype=np.float64)
 
 
-def _finalize(hist, m):
+def _weighted_sum(fv, vals=None, *, sel=None, bins=None, m=0):
+    """One chunk's sum of f(n) * vals(n) over the n that the mask sel picks
+    (all n when None), with vals = 1 when None; given bins, one per picked n,
+    its bincount into m slots instead.
+
+    fv = None stands for f = 1: a count is then an exact int64 (a plain count
+    needs sel).  A real f gives float64 sums and a complex f complex128 ones.
+    """
+    if fv is None:
+        if bins is not None:
+            return np.bincount(bins, minlength=m)
+        return np.count_nonzero(sel) if vals is None else vals.sum()
+    if sel is not None:
+        fv = fv[sel]
+    if bins is not None:
+        part = np.bincount(bins, weights=fv.real, minlength=m)
+        if np.iscomplexobj(fv):
+            part = part + 1j * np.bincount(bins, weights=fv.imag, minlength=m)
+        return part
+    return fv.sum() if vals is None else np.sum(fv * vals)
+
+
+def _scan_sum(x, reduce, **scan_kw):
+    """The sum of reduce(chunk) over scan_segments(x, **scan_kw), added chunk
+    by chunk in segment order: the same for any worker count or cache state,
+    and for integer sums at any segment size too."""
+    total = 0
+    for chunk in scan_segments(x, **scan_kw):
+        total = total + reduce(chunk)
+    return total
+
+
+def _cumulate(hist):
+    """(raw, total) from a first-qualifying-index histogram whose last bin
+    holds the n that meet no threshold: raw[j] sums over the n meeting u_j,
+    total over every n."""
     ext = np.cumsum(hist)
-    raw = ext[:m].astype(np.complex128)
-    total = ext[-1]
-    return raw, total
+    return ext[:-1].astype(np.complex128), ext[-1]
 
 
 def _threshold_sums(f, x, grid, **scan_kw):
@@ -238,34 +254,35 @@ def _threshold_sums(f, x, grid, **scan_kw):
     if grid is None:
         grid = ThresholdGrid.default()
     _check_threshold_products(x, grid)
-    hist = _histogram(f, x, grid, **scan_kw)
-    raw, total = _finalize(hist, len(grid))
-    return x, grid, raw, total
+    tables, m = _bucket_tables(grid), len(grid) + 1
+
+    def histogram(chunk):
+        idx = _first_qualifying(chunk.n, chunk.sigma, grid, tables)
+        return _weighted_sum(chunk.fvals, bins=idx, m=m)
+    return (x, grid, *_cumulate(_scan_sum(x, histogram, f=f, **scan_kw)))
 
 
-def estimate_weighted_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = None, *,
-                          segment_size=None, workers=1, cache_dir=None) -> WeightedCdfEstimate:
+def estimate_weighted_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = None,
+                          **scan_kw) -> WeightedCdfEstimate:
     """One-pass estimate of (1/x) sum_{n<=x, n/sigma(n)<=u} f(n) over the grid."""
-    x, grid, raw, _ = _threshold_sums(f, x, grid, segment_size=segment_size,
-                                     workers=workers, cache_dir=cache_dir)
+    x, grid, raw, _ = _threshold_sums(f, x, grid, **scan_kw)
     return WeightedCdfEstimate(f.spec_string(), x, grid, raw, float(x), "df")
 
 
-def estimate_normalized_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = None, *,
-                            segment_size=None, workers=1, cache_dir=None) -> WeightedCdfEstimate:
+def estimate_normalized_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = None,
+                            **scan_kw) -> WeightedCdfEstimate:
     """Self-normalized estimate: same sums divided by S(f;x) from the same pass."""
     if not f.nonneg:
         raise ValueError(f"self-normalized mode needs a nonnegative function, not {f.id}")
-    x, grid, raw, total = _threshold_sums(f, x, grid, segment_size=segment_size,
-                                          workers=workers, cache_dir=cache_dir)
-    normalizer = float(total.real if np.iscomplexobj(total) else total)
+    x, grid, raw, total = _threshold_sums(f, x, grid, **scan_kw)
+    normalizer = float(total.real)
     if normalizer == 0.0:
         raise ValueError(f"S(f;x) = 0 for f = {f.id}, x = {x}")
     return WeightedCdfEstimate(f.spec_string(), x, grid, raw, normalizer, "dtilde")
 
 
-def lattice_circle_cdf(R: int, grid: ThresholdGrid | None = None, *,
-                       segment_size=None, workers=1, cache_dir=None) -> WeightedCdfEstimate:
+def lattice_circle_cdf(R: int, grid: ThresholdGrid | None = None,
+                       **scan_kw) -> WeightedCdfEstimate:
     """Lattice-point analogue: count (x, y) with 0 < x^2 + y^2 <= R and
     (x^2+y^2)/sigma(x^2+y^2) <= u, normalized by pi R.
 
@@ -280,7 +297,7 @@ def lattice_circle_cdf(R: int, grid: ThresholdGrid | None = None, *,
     if grid is None:
         grid = ThresholdGrid.default()
     _check_threshold_products(R, grid)
-    sig = sigma_table(R, segment_size=segment_size, workers=workers, cache_dir=cache_dir)
+    sig = sigma_table(R, **scan_kw)
     m = len(grid)
     hist = np.zeros(m + 1, dtype=np.int64)
     tables = _bucket_tables(grid)
@@ -289,12 +306,11 @@ def lattice_circle_cdf(R: int, grid: ThresholdGrid | None = None, *,
         ys = np.arange(isqrt(R - a * a) + 1, dtype=np.int64)
         ns = a * a + ys * ys
         hist += np.bincount(_first_qualifying(ns, sig[ns], grid, tables), minlength=m + 1)
-    raw, _ = _finalize(4 * hist, m)
+    raw, _ = _cumulate(4 * hist)
     return WeightedCdfEstimate("lattice_two_squares", R, grid, raw, math.pi * R, "lattice")
 
 
-def smoothed_indicator_mean(f: MultFunc, x: int, u, m: int, *,
-                            segment_size=None, workers=1, cache_dir=None):
+def smoothed_indicator_mean(f: MultFunc, x: int, u, m: int, **scan_kw):
     """(1/x) sum f(n) w(n/sigma(n)) for the tent weight w: 1 on [0, u],
     linearly down to 0 on [u, u + 1/m].  Requires u + 1/m < 1."""
     u = Fraction(u)
@@ -305,14 +321,11 @@ def smoothed_indicator_mean(f: MultFunc, x: int, u, m: int, *,
         raise ValueError("need 0 <= u and u + 1/m < 1")
     x = int(x)
     uf = float(u)
-    total = 0.0 + 0.0j
-    for chunk in scan_segments(x, f=f, segment_size=segment_size, workers=workers,
-                               cache_dir=cache_dir):
-        rho = chunk.n / chunk.sigma
-        w = np.clip(1.0 - m * (rho - uf), 0.0, 1.0)
-        fv = chunk.fvals
-        total += (w.sum() if fv is None else np.sum(fv * w))
-    return complex(total) / x
+
+    def tent(chunk):
+        w = np.clip(1.0 - m * (chunk.n / chunk.sigma - uf), 0.0, 1.0)
+        return _weighted_sum(chunk.fvals, w)
+    return complex(_scan_sum(x, tent, f=f, **scan_kw)) / x
 
 
 @dataclass(frozen=True)
@@ -331,8 +344,7 @@ class EquidistTally:
         return self.counts / self.x
 
 
-def equidist_tally(mode: str, q: int, u, x: int, *,
-                   segment_size=None, workers=1, cache_dir=None) -> EquidistTally:
+def equidist_tally(mode: str, q: int, u, x: int, **scan_kw) -> EquidistTally:
     """Tally qualifying n <= x by Omega(n) mod q, or by residue class among
     the n coprime to q.  Counts are exact integers; in omega mode they
     partition the whole qualifying set."""
@@ -349,33 +361,19 @@ def equidist_tally(mode: str, q: int, u, x: int, *,
     x = int(x)
     num, den = u.numerator, u.denominator
     _check_threshold_products(x, ThresholdGrid([u]))
-    counts = np.zeros(q, dtype=np.int64)
-    qual_total = 0
-    want_omega = mode == "omega"
-    coprime_mask = None
-    if mode == "coprime":
-        coprime_mask = np.array([math.gcd(c, q) == 1 for c in range(q)])
-    for chunk in scan_segments(x, with_omega=want_omega, segment_size=segment_size,
-                               workers=workers, cache_dir=cache_dir):
+    omega = mode == "omega"
+
+    def tally(chunk):
+        # every residue is tallied; the coprime ones are picked out below
         qual = den * chunk.n <= num * chunk.sigma
-        qual_total += int(np.count_nonzero(qual))
-        if want_omega:
-            cls = (chunk.omega[qual].astype(np.int64)) % q
-        else:
-            res = chunk.n[qual] % q
-            res = res[coprime_mask[res]]
-            cls = res
-        counts += np.bincount(cls, minlength=q)
-    if mode == "omega":
-        labels = tuple(range(q))
-    else:
-        labels = tuple(c for c in range(q) if math.gcd(c, q) == 1)
-        counts = counts[list(labels)]
-    return EquidistTally(mode, q, u, x, labels, counts, qual_total)
+        key = chunk.omega[qual].astype(np.int64) if omega else chunk.n[qual]
+        return _weighted_sum(chunk.fvals, bins=key % q, m=q)
+    counts = _scan_sum(x, tally, with_omega=omega, **scan_kw)
+    labels = tuple(c for c in range(q) if omega or math.gcd(c, q) == 1)
+    return EquidistTally(mode, q, u, x, labels, counts[list(labels)], int(counts.sum()))
 
 
-def partial_summation_check(f: MultFunc, x: int, u, *,
-                            segment_size=None, workers=1, cache_dir=None):
+def partial_summation_check(f: MultFunc, x: int, u, **scan_kw):
     """Return (lhs, rhs) with lhs = (2/x^2) sum_{qualifying} n f(n) and
     rhs = (1/x) sum_{qualifying} f(n), from the same pass.  In the limit
     lhs -> rhs, which is the partial-summation identity for the n-weighted
@@ -384,38 +382,11 @@ def partial_summation_check(f: MultFunc, x: int, u, *,
     x = int(x)
     num, den = u.numerator, u.denominator
     _check_threshold_products(x, ThresholdGrid([u]))
-    lhs = 0.0 + 0.0j
-    rhs = 0.0 + 0.0j
-    for chunk in scan_segments(x, f=f, segment_size=segment_size, workers=workers,
-                               cache_dir=cache_dir):
+
+    def pair(chunk):
         qual = den * chunk.n <= num * chunk.sigma
         nq = chunk.n[qual].astype(np.float64)
-        if chunk.fvals is None:
-            lhs += nq.sum()
-            rhs += np.count_nonzero(qual)
-        else:
-            fq = chunk.fvals[qual]
-            lhs += np.sum(nq * fq)
-            rhs += fq.sum()
+        return np.array([_weighted_sum(chunk.fvals, nq, sel=qual),
+                         _weighted_sum(chunk.fvals, sel=qual)])
+    lhs, rhs = _scan_sum(x, pair, f=f, **scan_kw)
     return complex(lhs) * 2.0 / (x * float(x)), complex(rhs) / x
-
-
-def empirical_char_function(f: MultFunc, x: int, ts, *,
-                            segment_size=None, workers=1, cache_dir=None) -> np.ndarray:
-    """Empirical characteristic function of log(n/sigma(n)) under weight f:
-    phi_x(t) = (1/S(f;x)) sum_{n<=x} f(n) (n/sigma(n))^{i t}."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    x = int(x)
-    acc = np.zeros(ts.shape, dtype=np.complex128)
-    S = 0.0 + 0.0j
-    for chunk in scan_segments(x, f=f, segment_size=segment_size, workers=workers,
-                               cache_dir=cache_dir):
-        L = np.log(chunk.n / chunk.sigma)
-        fv = chunk.fvals
-        for k, t in enumerate(ts):
-            phase = np.exp(1j * t * L)
-            acc[k] += phase.sum() if fv is None else np.sum(fv * phase)
-        S += chunk.n.size if fv is None else fv.sum()
-    if S == 0:
-        raise ValueError(f"S(f;x) = 0 for f = {f.id}")
-    return acc / S

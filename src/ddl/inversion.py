@@ -37,7 +37,7 @@ import numpy as np
 
 from .analytic import CharFnProfile
 from .empirical import WeightedCdfEstimate
-from .sieve import ResourceLimitError
+from .sieve import SIGMA_TABLE_BUDGET_BYTES, ResourceLimitError
 
 __all__ = ["InversionError", "InvertedCdf", "CdfComparison", "invert", "sup_distance"]
 
@@ -89,6 +89,16 @@ def _quadrature_grid(T: float, step: float) -> np.ndarray:
     return step * np.arange(_t_nodes(m + 1))
 
 
+def _check_matrix_size(n_points: int, grid: np.ndarray):
+    """Refuse an inversion whose two real (points x positive nodes) float64
+    matrices would pass SIGMA_TABLE_BUDGET_BYTES, before either is built."""
+    need = 16 * n_points * (grid.size - 1)
+    if need > SIGMA_TABLE_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"inverting at {n_points} points over {grid.size - 1} nodes needs "
+            f"{need / 1e9:.1f} GB, over the {SIGMA_TABLE_BUDGET_BYTES / 1e9:.1f} GB budget")
+
+
 def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
            step: float = DEFAULT_STEP) -> InvertedCdf:
     """Pointwise inversion at ascending evaluation points (log coordinates)."""
@@ -96,6 +106,7 @@ def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
     if points.size > 1 and not np.all(np.diff(points) > 0):
         raise InversionError("evaluation points must be strictly increasing")
     grid = _quadrature_grid(T, step)
+    _check_matrix_size(points.size, grid)
     ts = np.asarray(profile.ts, dtype=np.float64)[:grid.size]
     if ts.size < grid.size or np.any(np.abs(ts - grid) > 1e-9 * max(T, 1.0)):
         raise InversionError(f"profile grid must begin k*{step:g} for k = 0..{grid.size - 1}")

@@ -4,7 +4,10 @@ Everything here recomputes the objects under test from definitions, by a
 different algorithm than the library uses: divisor-loop sigma, slice-sieve
 Moebius, lattice enumeration for the two-squares counts, hyperbola sums for
 tau, Euler-criterion characters.  Values asserted in tests are produced (or
-cross-checked) by these.
+cross-checked) by these.  The one exception is empirical_char_function, the
+sieve side of the characteristic-function checks: it reads sigma and f from
+ddl.sieve.scan_segments, whose values the sieve tests check against the
+oracles above.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
+
+from ddl.sieve import scan_segments
 
 
 def sigma_brute(n: int) -> int:
@@ -170,3 +175,20 @@ def r_rough_euler_product(y: int) -> float:
     log_plain = np.where(p % 4 == 1, -2.0 * np.log1p(-1.0 / p), -np.log1p(-p ** -2.0))
     log_plain[p == 2] = math.log(2.0)
     return math.exp(-float(log_plain.sum()))
+
+
+def empirical_char_function(f, x: int, ts, **scan_kw) -> np.ndarray:
+    """Empirical characteristic function of log(n/sigma(n)) under weight f:
+    phi_x(t) = (1/S(f;x)) sum_{n<=x} f(n) (n/sigma(n))^{i t}, over one scan
+    (scan_kw as for scan_segments)."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+    acc = np.zeros(ts.shape, dtype=np.complex128)
+    S = 0.0 + 0.0j
+    for chunk in scan_segments(int(x), f=f, **scan_kw):
+        fv = np.ones(chunk.n.size) if chunk.fvals is None else chunk.fvals
+        L = np.log(chunk.n / chunk.sigma)
+        acc += [np.sum(fv * np.exp(1j * t * L)) for t in ts]
+        S += fv.sum()
+    if S == 0:
+        raise ValueError(f"S(f;x) = 0 for f = {f.id}")
+    return acc / S

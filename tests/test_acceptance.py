@@ -14,8 +14,7 @@ import pytest
 import ddl
 from ddl.analytic import (char_function, continuity_diagnostic, greedy_witness,
                           mean_value_product, wirsing_prediction)
-from ddl.empirical import (ThresholdGrid, empirical_char_function,
-                           equidist_tally, estimate_normalized_cdf,
+from ddl.empirical import (ThresholdGrid, equidist_tally, estimate_normalized_cdf,
                            estimate_weighted_cdf, lattice_circle_cdf,
                            partial_summation_check, smoothed_indicator_mean)
 from ddl.inversion import invert, sup_distance
@@ -181,7 +180,7 @@ def test_06_wirsing_sanity():
 def test_07_char_function_match():
     ts = np.array([0.5, 1.0, 2.0, 5.0])
     prof = char_function(ONE, ts, 10 ** 6)
-    emp = empirical_char_function(ONE, X7, ts)
+    emp = oracles.empirical_char_function(ONE, X7, ts)
     worst = float(np.max(np.abs(prof.values - emp)))
     report("07 char-function-match", worst <= 0.01,
            f"max |psi - phi_x| over t in (0.5, 1, 2, 5) = {worst:.2e}")

@@ -281,9 +281,14 @@ def test_oversized_requests_refused_before_allocating():
              ["invert", "--f", "one", "--P", "100", "--T", "1e10"],
              ["invert", "--f", "one", "--P", "100", "--step", "1e-6"],
              ["invert", "--f", "one", "--P", "100", "--points", "linspace:-1,0,100000000000"],
+             # 10^6 points x 4000 nodes: two 32 GB matrices
+             ["invert", "--f", "one", "--P", "100", "--points", "linspace:-1,-0.01,1000000"],
              ["compare", "--f", "one", "--x", "100", "--P", "100", "--T", "1e10"],
+             ["compare", "--f", "one", "--x", "1000", "--P", "100", "--grid", "steps:1000000"],
              ["analytic", "psi", "--f", "one", "--P", "100",
               "--t", "linspace:0,1,100000000000"]]
+    # a grid of 10^12 + 1 thresholds, whose denominators pass the cap, is bad input
+    invalid = [["estimate", "--f", "one", "--x", "100", "--grid", "steps:1000000000000"]]
     script = ("import json, os, resource, sys\n"
               "from ddl.cli import main\n"
               "cap, hard = 3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]\n"
@@ -293,11 +298,19 @@ def test_oversized_requests_refused_before_allocating():
               "print(json.dumps([main(c + ['--out', os.devnull]) for c in json.loads(sys.argv[1])]))")
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls + invalid)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [3] * len(calls)
+    assert json.loads(proc.stdout) == [3] * len(calls) + [2] * len(invalid)
     assert proc.stderr.count("resource refusal") == len(calls)
+
+
+def test_invert_points_validated_before_product(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("char_function called before --points was validated")
+    monkeypatch.setattr("ddl.cli.char_function", unreachable)
+    assert run_cli("invert", "--f", "one", "--P", "1e6", "--points", "bogus",
+                   "--out", os.devnull) == 2
 
 
 def test_console_script_entry():

@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 import ddl
 from ddl.cli import main as cli_main
 from ddl.empirical import (_BUCKET_CAP, GridError, ThresholdGrid, _bucket_tables,
-                           _first_qualifying, empirical_char_function,
-                           equidist_tally, estimate_normalized_cdf,
+                           _first_qualifying, equidist_tally, estimate_normalized_cdf,
                            estimate_weighted_cdf, lattice_circle_cdf,
                            partial_summation_check, smoothed_indicator_mean)
-from ddl.multfunc import evaluate, make
+from ddl.multfunc import evaluate, make, parse_spec
 from ddl.sieve import SIEVE_LIMIT, ResourceLimitError
 
 import oracles
@@ -283,7 +282,7 @@ def test_squarefree_density_via_psum():
 def test_char_function_small_x(brute_tables):
     N, sig = brute_tables
     ts = np.array([0.0, 0.7, 2.0])
-    got = empirical_char_function(ONE, N, ts, segment_size=512)
+    got = oracles.empirical_char_function(ONE, N, ts, segment_size=512)
     assert got[0] == pytest.approx(1.0, abs=1e-14)
     brute = np.zeros(3, dtype=complex)
     for n in range(1, N + 1):
@@ -302,17 +301,30 @@ def test_estimate_segment_and_worker_invariance():
 
 PROPERTY_X = 3000
 PROPERTY_SIGMA = oracles.sigma_table_brute(PROPERTY_X)
+PROPERTY_OMEGA = [0] + [oracles.omega_big_brute(n) for n in range(1, PROPERTY_X + 1)]
+PROPERTY_MU = oracles.mobius_table(PROPERTY_X)
+# weights of the f-weighted statistics: f = 1, a real f and a complex f
+PROPERTY_F = {"one": lambda n: 1, "mu": lambda n: int(PROPERTY_MU[n]),
+              "lambda:a=1,q=3": lambda n: oracles.lambda_brute(n, 1, 3)}
+
+
+def assert_sum_close(got, terms, scale):
+    """got matches scale * sum(terms) within rel 1e-12 of scale * sum |terms|."""
+    assert abs(got - scale * sum(terms)) <= 1e-12 * scale * sum(abs(t) for t in terms)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(x=st.integers(1, PROPERTY_X),
        thresholds=st.sets(st.fractions(0, 1, max_denominator=60), min_size=1, max_size=12),
+       f=st.sampled_from(sorted(PROPERTY_F)),
+       q=st.integers(1, 12),
+       m=st.integers(3, 100),
        segment_size=st.integers(16, 2 * PROPERTY_X),
        workers=st.sampled_from([1, 2]),
        cached=st.booleans())
-def test_raw_counts_independent_of_scan_layout(tmp_path_factory, x, thresholds,
+def test_raw_counts_independent_of_scan_layout(tmp_path_factory, x, thresholds, f, q, m,
                                                segment_size, workers, cached):
-    # output must not depend on segment size, worker count or cache state
+    # no statistic may depend on segment size, worker count or cache state
     grid = ThresholdGrid(sorted(thresholds))
     cache_dir = None
     if cached:
@@ -320,12 +332,31 @@ def test_raw_counts_independent_of_scan_layout(tmp_path_factory, x, thresholds,
         assert cli_main(["sieve-cache", "--x", str(x), "--segment-size", str(segment_size),
                          "--dir", str(cache_dir),
                          "--out", str(cache_dir / "written.json")]) == 0
-    est = estimate_weighted_cdf(ONE, x, grid, segment_size=segment_size,
-                                workers=workers, cache_dir=cache_dir)
+    scan_kw = {"segment_size": segment_size, "workers": workers, "cache_dir": cache_dir}
+    fn = PROPERTY_F[f]
+    est = estimate_weighted_cdf(parse_spec(f), x, grid, **scan_kw)
     first = [oracles.brute_first_qualifying(n, int(PROPERTY_SIGMA[n]), grid.fractions)
              for n in range(1, x + 1)]
-    expected = np.cumsum(np.bincount(first, minlength=len(grid) + 1))[:len(grid)]
-    assert est.raw_counts().tolist() == expected.tolist()
+    for j in range(len(grid)):  # exact for the integer-valued f
+        assert_sum_close(est.raw[j], [fn(n) for n in range(1, x + 1) if first[n - 1] <= j], 1.0)
+
+    # the single-threshold statistics, at the grid's last threshold
+    u = grid.fractions[-1]
+    qual = [n for n in range(1, x + 1) if oracles.qualifies(n, int(PROPERTY_SIGMA[n]), u)]
+    for mode, key in (("omega", lambda n: PROPERTY_OMEGA[n] % q), ("coprime", lambda n: n % q)):
+        tally = equidist_tally(mode, q, u, x, **scan_kw)
+        labels = [c for c in range(q) if mode == "omega" or math.gcd(c, q) == 1]
+        assert list(tally.labels) == labels
+        assert tally.counts.tolist() == [sum(1 for n in qual if key(n) == c) for c in labels]
+        assert tally.qualifying_total == len(qual)
+    lhs, rhs = partial_summation_check(parse_spec(f), x, u, **scan_kw)
+    assert_sum_close(lhs, [n * fn(n) for n in qual], 2.0 / x ** 2)
+    assert_sum_close(rhs, [fn(n) for n in qual], 1.0 / x)
+    us = u / 2  # so that us + 1/m < 1
+    got = smoothed_indicator_mean(parse_spec(f), x, us, m, **scan_kw)
+    w = [min(1.0, max(0.0, 1.0 - m * (n / int(PROPERTY_SIGMA[n]) - float(us))))
+         for n in range(1, x + 1)]
+    assert_sum_close(got, [fn(n) * w[n - 1] for n in range(1, x + 1)], 1.0 / x)
 
 
 def test_resource_refusals():
