@@ -24,8 +24,7 @@ import numpy as np
 
 from . import __version__
 from .multfunc import CatalogError, catalog_entries, parse_spec
-from .sieve import (DEFAULT_SEGMENT_SIZE, ResourceLimitError, SieveError,
-                    scan_segments, write_segment_cache)
+from .sieve import ResourceLimitError, SieveError, scan_segments, write_segment_cache
 from .empirical import (GridError, ThresholdGrid, equidist_tally,
                         estimate_normalized_cdf, estimate_weighted_cdf,
                         lattice_circle_cdf, partial_summation_check,
@@ -164,15 +163,14 @@ def _cmd_sieve_cache(args, t0):
         raise SieveError(f"no cache directory: pass --dir or set {CACHE_ENV_VAR}")
     written = []
     # sieves every segment: an existing cache is never copied into a new one
-    for chunk in scan_segments(args.x, segment_size=args.segment_size, workers=args.workers):
+    for chunk in scan_segments(args.x, workers=args.workers):
         written.append(str(write_segment_cache(cache_dir, chunk.lo, chunk.hi, chunk.sigma)))
     _emit_json({"meta": _meta(args, t0), "written": written}, args.out)
     return EXIT_OK
 
 
 def _common_kwargs(args):
-    return {"segment_size": args.segment_size, "workers": args.workers,
-            "cache_dir": os.environ.get(CACHE_ENV_VAR) or None}
+    return {"workers": args.workers, "cache_dir": os.environ.get(CACHE_ENV_VAR) or None}
 
 
 def _cmd_estimate(args, t0):
@@ -293,6 +291,8 @@ def _cmd_compare(args, t0):
     grid = ThresholdGrid.parse(args.grid)
     ts = _quadrature_grid(args.T, args.step)
     _, logs = grid.log_points()
+    if logs.size == 0:
+        raise GridError("compare needs a grid with a threshold u > 0")
     _check_matrix_size(logs.size, ts)  # all refusals come before the sieve runs
     est = estimate_weighted_cdf(f, args.x, grid, **_common_kwargs(args))
     prof = char_function(f, ts, args.P)
@@ -319,7 +319,6 @@ def _cmd_compare(args, t0):
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--segment-size", type=_int_arg, default=DEFAULT_SEGMENT_SIZE)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output file (stdout when omitted)")
 
@@ -352,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve-cache", help="precompute binary sigma caches")
     p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--dir", default=None, help=(
-        f"cache directory (default: {CACHE_ENV_VAR}); a cache is read only by runs "
-        "at the --segment-size it was written with"))
+    p.add_argument("--dir", default=None, help=f"cache directory (default: {CACHE_ENV_VAR})")
     _add_common(p)
     p.set_defaults(func=_cmd_sieve_cache)
 

@@ -20,8 +20,8 @@ Every sieve-side statistic is one pass of _scan_sum: a reducer maps each
 scan chunk to its weighted sum of f(n) w(n), binned by np.bincount or plain
 by np.sum, through the one rule _weighted_sum, and the chunk sums are added
 in segment order.  f = 1 sums are exact int64 counts.  Each estimator takes
-the scan keywords segment_size, workers and cache_dir of
-sieve.scan_segments; integer-valued results do not depend on them.
+the scan keywords workers and cache_dir of sieve.scan_segments; no result
+depends on them, since the segments and their order are fixed by x.
 """
 
 from __future__ import annotations
@@ -232,8 +232,7 @@ def _weighted_sum(fv, vals=None, *, sel=None, bins=None, m=0):
 
 def _scan_sum(x, reduce, **scan_kw):
     """The sum of reduce(chunk) over scan_segments(x, **scan_kw), added chunk
-    by chunk in segment order: the same for any worker count or cache state,
-    and for integer sums at any segment size too."""
+    by chunk in segment order: the same for any worker count or cache state."""
     total = 0
     for chunk in scan_segments(x, **scan_kw):
         total = total + reduce(chunk)

@@ -11,11 +11,13 @@ passes (about sum_{p <= sqrt(x)} 1/p ~ 2.5 element-ops per n).  The values
 f(p^j) at the base primes are computed once per scan, one vectorized call
 per level j, and shared by every segment.
 
-Segments are independent work units; with workers > 1 they are computed by a
-thread pool and merged in segment order, so results do not depend on the
-worker count.  A sigma cache is used only when the caller names its
-directory; cache files are keyed by exact segment bounds, so a cache serves
-only scans at the segment size it was written with.  Each file carries a
+[1, x] is cut into segments of the fixed length SEGMENT_SIZE, so every scan
+up to x has the same layout.  Segments are independent work units; with
+workers > 1 they are computed by a thread pool and merged in segment order,
+so results do not depend on the worker count.  A sigma cache is used only
+when the caller names its directory; cache files are keyed by exact segment
+bounds, so every full segment is shared by all scans that reach it, and the
+last, partial segment only by scans to the same x.  Each file carries a
 crc32 of its payload; a file that fails it is ignored and the segment is
 sieved again.
 """
@@ -39,7 +41,7 @@ from .multfunc import MultFunc
 __all__ = [
     "SieveError",
     "ResourceLimitError",
-    "DEFAULT_SEGMENT_SIZE",
+    "SEGMENT_SIZE",
     "SIEVE_LIMIT",
     "ScanChunk",
     "primes_up_to",
@@ -49,7 +51,9 @@ __all__ = [
     "read_segment_cache",
 ]
 
-DEFAULT_SEGMENT_SIZE = 1 << 22
+# Length of every scan segment but the last.  Changing it changes the
+# segment bounds, so cache files written before no longer match.
+SEGMENT_SIZE = 1 << 22
 
 # Upper bound on sieved n.  sigma(n) < n (1 + ln n) keeps every threshold
 # product num * sigma(n) with num <= 10^6 far below 2^63, and lets cache
@@ -66,25 +70,19 @@ SIGMA_TABLE_BUDGET_BYTES = 2_000_000_000
 
 
 class SieveError(ValueError):
-    """Invalid sieve request (bounds, segment size, worker count, cache directory)."""
+    """Invalid sieve request (bounds, worker count, cache directory)."""
 
 
 class ResourceLimitError(SieveError):
     """Request refused because it would overflow integers or exhaust memory."""
 
 
-_PRIME_CACHE: dict[int, np.ndarray] = {}
-
-
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (treat as read-only), by a
-    sieve over the odd numbers: slot i is 2i + 1, and slot 0 is 2, not 1."""
+    """All primes <= limit as an int64 array, by a sieve over the odd
+    numbers: slot i is 2i + 1, and slot 0 is 2, not 1."""
     limit = int(limit)
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    cached = _PRIME_CACHE.get(limit)
-    if cached is not None:
-        return cached
     need = (limit + 1) // 2 + 10 * limit / math.log(limit)  # mask + 8 pi(limit), pi(x) < 1.26 x/ln x
     if need > SIGMA_TABLE_BUDGET_BYTES:
         raise ResourceLimitError(
@@ -99,10 +97,6 @@ def primes_up_to(limit: int) -> np.ndarray:
     ps *= 2
     ps += 1
     ps[0] = 2
-    # keep only the most recent two requests; big prime lists are ~50 MB
-    if len(_PRIME_CACHE) >= 2:
-        _PRIME_CACHE.pop(next(iter(_PRIME_CACHE)))
-    _PRIME_CACHE[limit] = ps
     return ps
 
 
@@ -260,26 +254,23 @@ def _scan_one(lo, hi, primes, fdesc, fpow, want_omega, cache_dir):
 
 
 def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False,
-                  segment_size: int | None = None, workers: int = 1,
-                  cache_dir: str | None = None):
-    """Yield ScanChunk objects covering [1, x] in order.
+                  workers: int = 1, cache_dir: str | None = None):
+    """Yield ScanChunk objects covering [1, x] in order, one per segment of
+    SEGMENT_SIZE (read when the first chunk is asked for).
 
     f = None (or the constant-1 entry) skips the f-evaluation pass.  The
-    chunk sequence is identical for any segment_size and worker count.
+    chunk sequence is identical for any worker count and cache state.
     cache_dir = None reads no cache; otherwise each segment's sigma is read
     from cache_dir when a valid file for its exact bounds is there.
     """
     x = int(x)
     _check_bounds(1, x)
-    size = DEFAULT_SEGMENT_SIZE if segment_size is None else int(segment_size)
-    if size < 16:
-        raise SieveError("segment_size must be >= 16")
     if workers < 1:
         raise SieveError("workers must be >= 1")
     fdesc = None if (f is None or f.is_one) else f
     primes = primes_up_to(isqrt(x))
     fpow = _prime_power_table(primes, fdesc, x)
-    bounds = [(lo, min(lo + size - 1, x)) for lo in range(1, x + 1, size)]
+    bounds = [(lo, min(lo + SEGMENT_SIZE - 1, x)) for lo in range(1, x + 1, SEGMENT_SIZE)]
     if workers == 1:
         for lo, hi in bounds:
             yield _scan_one(lo, hi, primes, fdesc, fpow, with_omega, cache_dir)
@@ -302,8 +293,7 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
             yield fut.result()
 
 
-def sigma_table(x: int, *, segment_size: int | None = None, workers: int = 1,
-                cache_dir: str | None = None) -> np.ndarray:
+def sigma_table(x: int, *, workers: int = 1, cache_dir: str | None = None) -> np.ndarray:
     """Exact sigma(n) for 0 <= n <= x as one int64 array (sigma[0] = 0)."""
     x = int(x)
     _check_bounds(1, x)
@@ -313,6 +303,6 @@ def sigma_table(x: int, *, segment_size: int | None = None, workers: int = 1,
             f"sigma table for x = {x} needs {need / 1e9:.1f} GB, "
             f"over the {SIGMA_TABLE_BUDGET_BYTES / 1e9:.1f} GB budget")
     out = np.zeros(x + 1, dtype=np.int64)
-    for chunk in scan_segments(x, segment_size=segment_size, workers=workers, cache_dir=cache_dir):
+    for chunk in scan_segments(x, workers=workers, cache_dir=cache_dir):
         out[chunk.lo: chunk.hi + 1] = chunk.sigma
     return out

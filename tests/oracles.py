@@ -7,19 +7,33 @@ tau, Euler-criterion characters.  Values asserted in tests are produced (or
 cross-checked) by these.  The one exception is empirical_char_function, the
 sieve side of the characteristic-function checks: it reads sigma and f from
 ddl.sieve.scan_segments, whose values the sieve tests check against the
-oracles above.
+oracles above.  segment_size is not an oracle but the one way tests choose a
+scan layout other than ddl.sieve.SEGMENT_SIZE.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
+import pytest
 
+import ddl.sieve
 from ddl.sieve import scan_segments
+
+
+@contextmanager
+def segment_size(n: int):
+    """Scan with segments of n inside the block.  A scan reads the size at
+    its first chunk, so the block must hold the whole iteration, not only
+    the call that creates the generator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ddl.sieve, "SEGMENT_SIZE", n)
+        yield
 
 
 def sigma_brute(n: int) -> int:

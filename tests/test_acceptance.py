@@ -395,7 +395,8 @@ def test_11_brute_force_equivalence(spec, brute_setup):
     np.add.at(hist, jmin[1:], fv)
     raw_brute = np.cumsum(hist[:m])
 
-    est = estimate_weighted_cdf(f, BRUTE_X, grid, segment_size=2048)
+    with oracles.segment_size(2048):
+        est = estimate_weighted_cdf(f, BRUTE_X, grid)
     if spec.split(":")[0] in {s.split(":")[0] for s in INTEGER_VALUED} and spec in INTEGER_VALUED:
         ok = np.array_equal(np.rint(est.raw.real).astype(np.int64),
                             np.rint(raw_brute.real).astype(np.int64)) and \

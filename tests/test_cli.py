@@ -184,29 +184,50 @@ def test_invert_and_compare_cli(tmp_path):
     assert payload["budgets"]["empirical_x"] == 100000
 
 
-def test_sieve_cache_cli(tmp_path):
+def test_sieve_cache_cli(tmp_path, monkeypatch):
     out = tmp_path / "cache.json"
     cdir = tmp_path / "cache"
-    assert run_cli("sieve-cache", "--x", "100000", "--dir", str(cdir),
-                   "--segment-size", "65536", "--out", str(out)) == 0
-    written = read_json(out)["written"]
-    assert len(written) == 2
-    est = tmp_path / "e1.csv"
-    assert run_cli("estimate", "--f", "one", "--x", "100000", "--grid", "half",
-                   "--segment-size", "65536", "--out", str(est)) == 0
-    import os
-    env_backup = os.environ.get("DDL_CACHE_DIR")
-    os.environ["DDL_CACHE_DIR"] = str(cdir)
-    try:
+    with oracles.segment_size(65536):
+        assert run_cli("sieve-cache", "--x", "100000", "--dir", str(cdir),
+                       "--out", str(out)) == 0
+        written = read_json(out)["written"]
+        assert len(written) == 2
+        est = tmp_path / "e1.csv"
+        assert run_cli("estimate", "--f", "one", "--x", "100000", "--grid", "half",
+                       "--out", str(est)) == 0
+        monkeypatch.setenv("DDL_CACHE_DIR", str(cdir))
         est2 = tmp_path / "e2.csv"
         assert run_cli("estimate", "--f", "one", "--x", "100000", "--grid", "half",
-                       "--segment-size", "65536", "--out", str(est2)) == 0
-        assert data_rows(est.read_text()) == data_rows(est2.read_text())
-    finally:
-        if env_backup is None:
-            os.environ.pop("DDL_CACHE_DIR", None)
-        else:
-            os.environ["DDL_CACHE_DIR"] = env_backup
+                       "--out", str(est2)) == 0
+    assert data_rows(est.read_text()) == data_rows(est2.read_text())
+
+
+def test_sieve_cache_is_read(tmp_path, monkeypatch):
+    # every sieving subcommand reads each segment a sieve-cache run wrote
+    monkeypatch.setenv("DDL_CACHE_DIR", str(tmp_path / "cache"))
+    reads = []
+    real_read = read_segment_cache
+
+    def counted_read(*args):
+        sigma = real_read(*args)
+        reads.append(sigma is not None)
+        return sigma
+
+    calls = [["estimate", "--f", "tau", "--x", "300000"],
+             ["estimate", "--f", "tau", "--x", "300000", "--mode", "dtilde"],
+             ["lattice", "--R", "300000"],
+             ["equidist", "--mode", "omega", "--q", "3", "--u", "1/2", "--x", "300000"],
+             ["equidist", "--mode", "coprime", "--q", "6", "--u", "1/2", "--x", "300000"],
+             ["smoothed", "--f", "tau", "--x", "300000", "--u", "1/2", "--m", "100"],
+             ["psum-check", "--f", "mu", "--x", "300000", "--u", "1/2"],
+             ["compare", "--f", "one", "--x", "300000", "--P", "1000"]]
+    with oracles.segment_size(65536):
+        assert run_cli("sieve-cache", "--x", "300000", "--out", os.devnull) == 0
+        monkeypatch.setattr("ddl.sieve.read_segment_cache", counted_read)
+        for argv in calls:
+            reads.clear()
+            assert run_cli(*argv, "--out", os.devnull) == 0
+            assert (reads.count(True), reads.count(False)) == (5, 0), argv
 
 
 def test_sieve_cache_sieves_instead_of_copying(tmp_path, monkeypatch):
@@ -230,7 +251,7 @@ def exit_code(*argv):
         return exc.code
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli("estimate", "--f", "nonexistent", "--x", "100") == 2
     assert "unknown catalog id" in capsys.readouterr().err
     assert run_cli("estimate", "--f", "one", "--x", "100", "--grid", "bogus;;") == 2
@@ -269,6 +290,11 @@ def test_exit_codes(tmp_path, capsys):
     # a modulus whose tally would not fit in memory is refused before allocating
     assert exit_code("equidist", "--mode", "omega", "--q", "100000000000",
                      "--u", "1/2", "--x", "100") == 3
+    # a grid without a threshold u > 0 leaves nothing to compare: refused before the sieve
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimate_weighted_cdf called before the grid was checked")
+    monkeypatch.setattr("ddl.cli.estimate_weighted_cdf", unreachable)
+    assert exit_code("compare", "--f", "one", "--x", "1000", "--P", "100", "--grid", "0") == 2
 
 
 def test_oversized_requests_refused_before_allocating():
@@ -322,15 +348,14 @@ def test_console_script_entry():
 
 def test_workers_flag_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli("estimate", "--f", "mu", "--x", "300000", "--segment-size", "65536",
-            "--out", str(a))
-    run_cli("estimate", "--f", "mu", "--x", "300000", "--segment-size", "65536",
-            "--workers", "4", "--out", str(b))
-    assert data_rows(a.read_text()) == data_rows(b.read_text())
-    for workers in ("1", "2"):
-        assert run_cli("sieve-cache", "--x", "300000", "--segment-size", "65536",
-                       "--workers", workers, "--dir", str(tmp_path / f"w{workers}"),
-                       "--out", str(tmp_path / f"w{workers}.json")) == 0
+    with oracles.segment_size(65536):
+        run_cli("estimate", "--f", "mu", "--x", "300000", "--out", str(a))
+        run_cli("estimate", "--f", "mu", "--x", "300000", "--workers", "4", "--out", str(b))
+        assert data_rows(a.read_text()) == data_rows(b.read_text())
+        for workers in ("1", "2"):
+            assert run_cli("sieve-cache", "--x", "300000", "--workers", workers,
+                           "--dir", str(tmp_path / f"w{workers}"),
+                           "--out", str(tmp_path / f"w{workers}.json")) == 0
     files = sorted(p.name for p in (tmp_path / "w1").iterdir())
     assert len(files) == 5
     for name in files:

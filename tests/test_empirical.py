@@ -86,7 +86,8 @@ def test_estimate_matches_naive_loop(spec, brute_tables):
     N, sig = brute_tables
     f = ddl.parse_spec(spec)
     grid = ThresholdGrid.parse("0,1/4,2/5,1/2,3/5,9/10,1")
-    est = estimate_weighted_cdf(f, N, grid, segment_size=1024)
+    with oracles.segment_size(1024):
+        est = estimate_weighted_cdf(f, N, grid)
     raw_brute = np.zeros(len(grid), dtype=complex)
     for n in range(1, N + 1):
         k = oracles.brute_first_qualifying(n, int(sig[n]), grid.fractions)
@@ -220,7 +221,8 @@ def test_smoothed_bracketed_by_sharp():
 def test_smoothed_matches_brute(brute_tables):
     N, sig = brute_tables
     f = make("tau")
-    got = smoothed_indicator_mean(f, N, Fraction(2, 5), 10, segment_size=512)
+    with oracles.segment_size(512):
+        got = smoothed_indicator_mean(f, N, Fraction(2, 5), 10)
     acc = 0.0
     for n in range(1, N + 1):
         rho = n / sig[n]
@@ -232,7 +234,9 @@ def test_smoothed_matches_brute(brute_tables):
 def test_equidist_modes(brute_tables):
     N, sig = brute_tables
     u = Fraction(1, 2)
-    t_omega = equidist_tally("omega", 3, u, N, segment_size=1024)
+    with oracles.segment_size(1024):
+        t_omega = equidist_tally("omega", 3, u, N)
+        t_cop = equidist_tally("coprime", 6, u, N)
     counts = [0, 0, 0]
     for n in range(1, N + 1):
         if oracles.qualifies(n, int(sig[n]), u):
@@ -240,7 +244,6 @@ def test_equidist_modes(brute_tables):
     assert list(t_omega.counts) == counts
     assert t_omega.qualifying_total == sum(counts)
 
-    t_cop = equidist_tally("coprime", 6, u, N, segment_size=1024)
     assert t_cop.labels == (1, 5)
     brute = {1: 0, 5: 0}
     for n in range(1, N + 1):
@@ -263,7 +266,8 @@ def test_partial_summation_pair(brute_tables):
 
     N, sig = brute_tables
     f = make("mu")
-    lhs, rhs = partial_summation_check(f, N, Fraction(1, 2), segment_size=777)
+    with oracles.segment_size(777):
+        lhs, rhs = partial_summation_check(f, N, Fraction(1, 2))
     l_brute = sum(n * oracles.mu_brute(n) for n in range(1, N + 1)
                   if oracles.qualifies(n, int(sig[n]), Fraction(1, 2)))
     r_brute = sum(oracles.mu_brute(n) for n in range(1, N + 1)
@@ -282,7 +286,8 @@ def test_squarefree_density_via_psum():
 def test_char_function_small_x(brute_tables):
     N, sig = brute_tables
     ts = np.array([0.0, 0.7, 2.0])
-    got = oracles.empirical_char_function(ONE, N, ts, segment_size=512)
+    with oracles.segment_size(512):
+        got = oracles.empirical_char_function(ONE, N, ts)
     assert got[0] == pytest.approx(1.0, abs=1e-14)
     brute = np.zeros(3, dtype=complex)
     for n in range(1, N + 1):
@@ -294,8 +299,10 @@ def test_char_function_small_x(brute_tables):
 
 def test_estimate_segment_and_worker_invariance():
     grid = ThresholdGrid.default()
-    a = estimate_weighted_cdf(make("tau"), 50000, grid, segment_size=997)
-    b = estimate_weighted_cdf(make("tau"), 50000, grid, segment_size=16384, workers=3)
+    with oracles.segment_size(997):
+        a = estimate_weighted_cdf(make("tau"), 50000, grid)
+    with oracles.segment_size(16384):
+        b = estimate_weighted_cdf(make("tau"), 50000, grid, workers=3)
     assert np.array_equal(a.raw, b.raw)
 
 
@@ -325,38 +332,38 @@ def assert_sum_close(got, terms, scale):
 def test_raw_counts_independent_of_scan_layout(tmp_path_factory, x, thresholds, f, q, m,
                                                segment_size, workers, cached):
     # no statistic may depend on segment size, worker count or cache state
-    grid = ThresholdGrid(sorted(thresholds))
-    cache_dir = None
-    if cached:
-        cache_dir = tmp_path_factory.mktemp("sigma_cache")
-        assert cli_main(["sieve-cache", "--x", str(x), "--segment-size", str(segment_size),
-                         "--dir", str(cache_dir),
-                         "--out", str(cache_dir / "written.json")]) == 0
-    scan_kw = {"segment_size": segment_size, "workers": workers, "cache_dir": cache_dir}
-    fn = PROPERTY_F[f]
-    est = estimate_weighted_cdf(parse_spec(f), x, grid, **scan_kw)
-    first = [oracles.brute_first_qualifying(n, int(PROPERTY_SIGMA[n]), grid.fractions)
-             for n in range(1, x + 1)]
-    for j in range(len(grid)):  # exact for the integer-valued f
-        assert_sum_close(est.raw[j], [fn(n) for n in range(1, x + 1) if first[n - 1] <= j], 1.0)
+    with oracles.segment_size(segment_size):
+        grid = ThresholdGrid(sorted(thresholds))
+        cache_dir = None
+        if cached:
+            cache_dir = tmp_path_factory.mktemp("sigma_cache")
+            assert cli_main(["sieve-cache", "--x", str(x), "--dir", str(cache_dir),
+                             "--out", str(cache_dir / "written.json")]) == 0
+        scan_kw = {"workers": workers, "cache_dir": cache_dir}
+        fn = PROPERTY_F[f]
+        est = estimate_weighted_cdf(parse_spec(f), x, grid, **scan_kw)
+        first = [oracles.brute_first_qualifying(n, int(PROPERTY_SIGMA[n]), grid.fractions)
+                 for n in range(1, x + 1)]
+        for j in range(len(grid)):  # exact for the integer-valued f
+            assert_sum_close(est.raw[j], [fn(n) for n in range(1, x + 1) if first[n - 1] <= j], 1.0)
 
-    # the single-threshold statistics, at the grid's last threshold
-    u = grid.fractions[-1]
-    qual = [n for n in range(1, x + 1) if oracles.qualifies(n, int(PROPERTY_SIGMA[n]), u)]
-    for mode, key in (("omega", lambda n: PROPERTY_OMEGA[n] % q), ("coprime", lambda n: n % q)):
-        tally = equidist_tally(mode, q, u, x, **scan_kw)
-        labels = [c for c in range(q) if mode == "omega" or math.gcd(c, q) == 1]
-        assert list(tally.labels) == labels
-        assert tally.counts.tolist() == [sum(1 for n in qual if key(n) == c) for c in labels]
-        assert tally.qualifying_total == len(qual)
-    lhs, rhs = partial_summation_check(parse_spec(f), x, u, **scan_kw)
-    assert_sum_close(lhs, [n * fn(n) for n in qual], 2.0 / x ** 2)
-    assert_sum_close(rhs, [fn(n) for n in qual], 1.0 / x)
-    us = u / 2  # so that us + 1/m < 1
-    got = smoothed_indicator_mean(parse_spec(f), x, us, m, **scan_kw)
-    w = [min(1.0, max(0.0, 1.0 - m * (n / int(PROPERTY_SIGMA[n]) - float(us))))
-         for n in range(1, x + 1)]
-    assert_sum_close(got, [fn(n) * w[n - 1] for n in range(1, x + 1)], 1.0 / x)
+        # the single-threshold statistics, at the grid's last threshold
+        u = grid.fractions[-1]
+        qual = [n for n in range(1, x + 1) if oracles.qualifies(n, int(PROPERTY_SIGMA[n]), u)]
+        for mode, key in (("omega", lambda n: PROPERTY_OMEGA[n] % q), ("coprime", lambda n: n % q)):
+            tally = equidist_tally(mode, q, u, x, **scan_kw)
+            labels = [c for c in range(q) if mode == "omega" or math.gcd(c, q) == 1]
+            assert list(tally.labels) == labels
+            assert tally.counts.tolist() == [sum(1 for n in qual if key(n) == c) for c in labels]
+            assert tally.qualifying_total == len(qual)
+        lhs, rhs = partial_summation_check(parse_spec(f), x, u, **scan_kw)
+        assert_sum_close(lhs, [n * fn(n) for n in qual], 2.0 / x ** 2)
+        assert_sum_close(rhs, [fn(n) for n in qual], 1.0 / x)
+        us = u / 2  # so that us + 1/m < 1
+        got = smoothed_indicator_mean(parse_spec(f), x, us, m, **scan_kw)
+        w = [min(1.0, max(0.0, 1.0 - m * (n / int(PROPERTY_SIGMA[n]) - float(us))))
+             for n in range(1, x + 1)]
+        assert_sum_close(got, [fn(n) * w[n - 1] for n in range(1, x + 1)], 1.0 / x)
 
 
 def test_resource_refusals():

@@ -51,7 +51,8 @@ def test_sigma_against_divisor_sieve():
 def test_sigma_offset_segments():
     # 999_000 - 1 = 179 * 5581, so the last segment is exactly [999_000, 1_000_500]
     lo, hi = 999_000, 1_000_500
-    *_, last = scan_segments(hi, segment_size=5581)
+    with oracles.segment_size(5581):
+        *_, last = scan_segments(hi)
     assert (last.lo, last.hi) == (lo, hi)
     assert np.array_equal(last.n, np.arange(lo, hi + 1))
     for n in range(lo, hi + 1, 97):
@@ -102,17 +103,19 @@ def test_fold_count_and_sums():
 def test_segment_boundary_independence(size):
     mu = make("mu")
     x = 1_500_000
-    assert scan_sum(mu, x, f_sum, segment_size=size) == scan_sum(mu, x, f_sum)
     sigma_sum = lambda c: int(c.sigma.sum())
-    assert (scan_sum(None, x, sigma_sum, segment_size=size)
-            == scan_sum(None, x, sigma_sum))
+    with oracles.segment_size(size):
+        cut_mu, cut_sigma = scan_sum(mu, x, f_sum), scan_sum(None, x, sigma_sum)
+    assert cut_mu == scan_sum(mu, x, f_sum)
+    assert cut_sigma == scan_sum(None, x, sigma_sum)
 
 
 def test_worker_count_does_not_change_results():
     mu = make("mu")
     x = 2_000_000
-    seq = scan_sum(mu, x, f_sum, segment_size=123_457)
-    par = scan_sum(mu, x, f_sum, segment_size=123_457, workers=4)
+    with oracles.segment_size(123_457):
+        seq = scan_sum(mu, x, f_sum)
+        par = scan_sum(mu, x, f_sum, workers=4)
     assert seq == par
 
 
@@ -130,8 +133,9 @@ def test_cache_round_trip(tmp_path):
     assert np.array_equal(back, sigma)
     assert read_segment_cache(tmp_path, 1, 9999) is None
     # scan with the cache produces identical tables
-    direct = list(scan_segments(4096, segment_size=4096))
-    cached = list(scan_segments(4096, segment_size=4096, cache_dir=str(tmp_path)))
+    with oracles.segment_size(4096):
+        direct = list(scan_segments(4096))
+        cached = list(scan_segments(4096, cache_dir=str(tmp_path)))
     assert np.array_equal(direct[0].sigma, cached[0].sigma)
     # corrupt header is ignored, not fatal
     path = tmp_path / "sigma_1_4096.sgma"
@@ -143,25 +147,23 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_payload_checksum(tmp_path):
     x, size = 20_000, 4096
-    for chunk in scan_segments(x, segment_size=size):
-        write_segment_cache(tmp_path, chunk.lo, chunk.hi, chunk.sigma)
-    assert not list(tmp_path.glob("*.tmp"))
-    # flip one payload byte: the header still matches, the crc32 does not
-    path = tmp_path / f"sigma_{size + 1}_{2 * size}.sgma"
-    raw = bytearray(path.read_bytes())
-    raw[-100] ^= 0x01
-    path.write_bytes(bytes(raw))
-    assert read_segment_cache(tmp_path, size + 1, 2 * size) is None
-    # the damaged segment is sieved again, so the table is unchanged
-    assert np.array_equal(sigma_table(x, segment_size=size, cache_dir=str(tmp_path)),
-                          sigma_table(x, segment_size=size))
+    with oracles.segment_size(size):
+        for chunk in scan_segments(x):
+            write_segment_cache(tmp_path, chunk.lo, chunk.hi, chunk.sigma)
+        assert not list(tmp_path.glob("*.tmp"))
+        # flip one payload byte: the header still matches, the crc32 does not
+        path = tmp_path / f"sigma_{size + 1}_{2 * size}.sgma"
+        raw = bytearray(path.read_bytes())
+        raw[-100] ^= 0x01
+        path.write_bytes(bytes(raw))
+        assert read_segment_cache(tmp_path, size + 1, 2 * size) is None
+        # the damaged segment is sieved again, so the table is unchanged
+        assert np.array_equal(sigma_table(x, cache_dir=str(tmp_path)), sigma_table(x))
 
 
 def test_bounds_and_limits():
     with pytest.raises(SieveError):
         sigma_table(0)
-    with pytest.raises(SieveError):
-        next(scan_segments(100, segment_size=15))
     with pytest.raises(ResourceLimitError):
         next(scan_segments(SIEVE_LIMIT + 1))
     # refused before anything is allocated: the dense table would need 2.4 GB
