@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .multfunc import (CatalogError, MultFunc, catalog_ids, evaluate, make,
                        parse_spec, restrict_coprime)
-from .sieve import (ResourceLimitError, SieveError, primes_up_to, scan_segments,
-                    sigma_table)
+from .sieve import ResourceLimitError, SieveError, primes_up_to, scan_segments
 from .empirical import (EquidistTally, GridError, ThresholdGrid,
                         WeightedCdfEstimate, equidist_tally,
                         estimate_normalized_cdf, estimate_weighted_cdf,

@@ -16,12 +16,13 @@ Also here: the lattice-point version for sums of two squares, tent-smoothed
 estimates, equidistribution tallies of Omega(n) mod q and of coprime residue
 classes, and a partial-summation identity check.
 
-Every sieve-side statistic is one pass of _scan_sum: a reducer maps each
-scan chunk to its weighted sum of f(n) w(n), binned by np.bincount or plain
-by np.sum, through the one rule _weighted_sum, and the chunk sums are added
-in segment order.  f = 1 sums are exact int64 counts.  Each estimator takes
-the scan keywords workers and cache_dir of sieve.scan_segments; no result
-depends on them, since the segments and their order are fixed by x.
+Every statistic is one pass of _scan_sum: a reducer maps each scan chunk to
+its weighted sum of f(n) w(n), binned by np.bincount or plain by np.sum,
+through the one rule _weighted_sum, and the chunk sums are added in segment
+order.  f = 1 sums, the lattice count among them, are exact int64 counts.
+Each estimator takes the scan keywords workers and cache_dir of
+sieve.scan_segments; no result depends on them, since the segments and their
+order are fixed by x.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from math import isqrt
 import numpy as np
 
 from .multfunc import MultFunc
-from .sieve import (ResourceLimitError, SieveError, scan_segments, sigma_table)
+from .sieve import ResourceLimitError, scan_segments
 
 __all__ = [
     "GridError",
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 MAX_DENOMINATOR = 1_000_000
-LATTICE_LIMIT = 100_000_000  # sigma table of this size is ~0.8 GB
 _BUCKET_CAP = 1 << 20  # most qualification buckets; D * n < 2^52 for n <= SIEVE_LIMIT
 
 
@@ -239,16 +239,18 @@ def _scan_sum(x, reduce, **scan_kw):
     return total
 
 
-def _cumulate(hist):
-    """(raw, total) from a first-qualifying-index histogram whose last bin
-    holds the n that meet no threshold: raw[j] sums over the n meeting u_j,
-    total over every n."""
-    ext = np.cumsum(hist)
-    return ext[:-1].astype(np.complex128), ext[-1]
+def _squares_upto(v: np.ndarray) -> np.ndarray:
+    """#{y >= 0 : y^2 <= v} per element of an int64 array below 2^52: isqrt(v) + 1,
+    or 0 for v < 0, from the float root corrected by one step each way."""
+    r = np.sqrt(np.maximum(v, 0)).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r + 1
 
 
-def _threshold_sums(f, x, grid, **scan_kw):
-    """(x, grid, raw, total): the grid's accumulated sums of f and S(f;x), one pass."""
+def _threshold_sums(f, x, grid, points=None, **scan_kw):
+    """(x, grid, raw, total): the grid's accumulated sums of f and S(f;x), one
+    pass; given points (f None), sums of 1 over the pairs (n, sigma(n)) it maps a chunk to."""
     x = int(x)
     if grid is None:
         grid = ThresholdGrid.default()
@@ -256,9 +258,12 @@ def _threshold_sums(f, x, grid, **scan_kw):
     tables, m = _bucket_tables(grid), len(grid) + 1
 
     def histogram(chunk):
-        idx = _first_qualifying(chunk.n, chunk.sigma, grid, tables)
+        n, sigma = (chunk.n, chunk.sigma) if points is None else points(chunk)
+        idx = _first_qualifying(n, sigma, grid, tables)
         return _weighted_sum(chunk.fvals, bins=idx, m=m)
-    return (x, grid, *_cumulate(_scan_sum(x, histogram, f=f, **scan_kw)))
+    # raw[j] sums bins 0..j, the n meeting u_j; the last bin holds those meeting none
+    ext = np.cumsum(_scan_sum(x, histogram, f=f, **scan_kw))
+    return x, grid, ext[:-1].astype(np.complex128), ext[-1]
 
 
 def estimate_weighted_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = None,
@@ -288,25 +293,20 @@ def lattice_circle_cdf(R: int, grid: ThresholdGrid | None = None,
     Counting order is over lattice points, so raw counts are exact integers;
     they equal 4 * sum_{n<=R, qualifying} r(n) by the quarter-count identity.
     """
-    R = int(R)
-    if R < 1:
-        raise SieveError("R must be >= 1")
-    if R > LATTICE_LIMIT:
-        raise ResourceLimitError(f"lattice mode needs a dense sigma table; R capped at {LATTICE_LIMIT}")
-    if grid is None:
-        grid = ThresholdGrid.default()
-    _check_threshold_products(R, grid)
-    sig = sigma_table(R, **scan_kw)
-    m = len(grid)
-    hist = np.zeros(m + 1, dtype=np.int64)
-    tables = _bucket_tables(grid)
-    for a in range(1, isqrt(R) + 1):
-        # the points (a, y), y >= 0, of one quadrant; 4 * hist counts all four
-        ys = np.arange(isqrt(R - a * a) + 1, dtype=np.int64)
-        ns = a * a + ys * ys
-        hist += np.bincount(_first_qualifying(ns, sig[ns], grid, tables), minlength=m + 1)
-    raw, _ = _cumulate(4 * hist)
-    return WeightedCdfEstimate("lattice_two_squares", R, grid, raw, math.pi * R, "lattice")
+    def quarter_plane(chunk):
+        # one n = a^2 + y^2 per point (a, y), a >= 1, y >= 0, with lo <= n <= hi
+        a2 = np.arange(1, isqrt(chunk.hi) + 1, dtype=np.int64) ** 2
+        y0 = _squares_upto(chunk.lo - 1 - a2)  # row a holds y0 <= y < y0 + cnt
+        cnt = _squares_upto(chunk.hi - a2) - y0
+        y = np.arange(int(cnt.sum()), dtype=np.int64)
+        y -= np.repeat(np.cumsum(cnt) - cnt - y0, cnt)
+        y *= y
+        y += np.repeat(a2 - chunk.lo, cnt)  # now n - lo
+        sigma = np.take(chunk.sigma, y)
+        y += chunk.lo
+        return y, sigma
+    R, grid, raw, _ = _threshold_sums(None, R, grid, quarter_plane, **scan_kw)
+    return WeightedCdfEstimate("lattice_two_squares", R, grid, 4 * raw, math.pi * R, "lattice")
 
 
 def smoothed_indicator_mean(f: MultFunc, x: int, u, m: int, **scan_kw):

@@ -294,7 +294,8 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
 
 
 def sigma_table(x: int, *, workers: int = 1, cache_dir: str | None = None) -> np.ndarray:
-    """Exact sigma(n) for 0 <= n <= x as one int64 array (sigma[0] = 0)."""
+    """Exact sigma(n) for 0 <= n <= x as one int64 array (sigma[0] = 0).
+    No statistic uses it; its callers are the tests and the benchmark tracer."""
     x = int(x)
     _check_bounds(1, x)
     need = (x + 1) * 8

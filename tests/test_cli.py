@@ -256,7 +256,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert "unknown catalog id" in capsys.readouterr().err
     assert run_cli("estimate", "--f", "one", "--x", "100", "--grid", "bogus;;") == 2
     assert run_cli("estimate", "--f", "one", "--x", "4000000001") == 3
-    assert run_cli("lattice", "--R", "1000000000") == 3
+    assert run_cli("lattice", "--R", "4000000001") == 3
+    assert run_cli("lattice", "--R", "0") == 2
     assert run_cli("estimate", "--f", "mu", "--x", "100", "--mode", "dtilde") == 2
     with pytest.raises(SystemExit) as exc:
         run_cli("estimate", "--x", "100")  # missing --f

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 import ddl
 from ddl.cli import main as cli_main
 from ddl.empirical import (_BUCKET_CAP, GridError, ThresholdGrid, _bucket_tables,
-                           _first_qualifying, equidist_tally, estimate_normalized_cdf,
-                           estimate_weighted_cdf, lattice_circle_cdf,
-                           partial_summation_check, smoothed_indicator_mean)
+                           _first_qualifying, _squares_upto, equidist_tally,
+                           estimate_normalized_cdf, estimate_weighted_cdf,
+                           lattice_circle_cdf, partial_summation_check,
+                           smoothed_indicator_mean)
 from ddl.multfunc import evaluate, make, parse_spec
 from ddl.sieve import SIEVE_LIMIT, ResourceLimitError
 
@@ -176,6 +177,15 @@ def test_first_qualifying_matches_brute(kind, qual_sigma):
 
 def test_bucket_products_fit_int64():
     assert _BUCKET_CAP * SIEVE_LIMIT < 2 ** 62
+
+
+def test_squares_upto_is_exact_to_sieve_limit():
+    # the lattice rows' y ranges come from this float root and its one-step
+    # corrections; the roots are checked at and beside every square in range
+    k = np.arange(math.isqrt(SIEVE_LIMIT) + 2, dtype=np.int64)
+    v = np.concatenate([k * k - 1, k * k, k * k + 1, -k * k])
+    assert np.array_equal(_squares_upto(v),
+                          [math.isqrt(w) + 1 if w >= 0 else 0 for w in v.tolist()])
 
 
 def test_lattice_trivial_and_brute():
@@ -365,10 +375,22 @@ def test_raw_counts_independent_of_scan_layout(tmp_path_factory, x, thresholds, 
              for n in range(1, x + 1)]
         assert_sum_close(got, [fn(n) * w[n - 1] for n in range(1, x + 1)], 1.0 / x)
 
+        # the lattice count, by a double loop over the whole disk; the drawn
+        # segment sizes cut rows of lattice points at segment bounds
+        lat = lattice_circle_cdf(x, grid, **scan_kw)
+        per_first = [0] * (len(grid) + 1)
+        s = math.isqrt(x)
+        for a in range(-s, s + 1):
+            for b in range(-s, s + 1):
+                if 0 < a * a + b * b <= x:
+                    per_first[first[a * a + b * b - 1]] += 1
+        assert lat.raw_counts().tolist() == np.cumsum(per_first[:-1]).tolist()
+
 
 def test_resource_refusals():
+    # both refused above SIEVE_LIMIT, before any segment is sieved
     with pytest.raises(ResourceLimitError):
-        lattice_circle_cdf(10 ** 9)  # sigma table would not fit the budget
+        lattice_circle_cdf(4_000_000_001)
     with pytest.raises(ResourceLimitError):
         estimate_weighted_cdf(ONE, 4_000_000_001, ThresholdGrid.parse("half"))
 
