@@ -14,6 +14,16 @@ prod_p twisted(p, t)/plain(p); its truncation tail is estimated with the
 bound |twisted/plain - 1| <= C ((1+|t|)/p^2 + higher-order mass), C = 2,
 valid behaviour from p0 = 11 on (a documented, conservative policy).
 
+``char_function`` splits that product at a cut P0 set by max|t|, in
+O(#t * pi(P0) + pi(P)) work.  Primes p <= P0 enter exactly, per t.  Above
+P0 the local law phi_p(z) = twisted(p, -iz)/plain(p) is analytic with
+|phi_p - 1| <= 1 - 1/plain(p) on |z| <= R_p = (p-1) log 2, because every
+|log(p^j/sigma(p^j))| < 1/(p-1); so those primes enter as the exponential
+of their summed cumulant series, cut at an order K chosen per chunk of
+primes.  Cauchy's estimate bounds what the cut drops by
+log plain(p) q^(K+1)/(1-q) per prime, q = |t|/R_p <= 1/2; that remainder,
+at most CUMULANT_BUDGET = 1e-13, is added to the profile's tail bounds.
+
 Products are accumulated in log space: each local factor tends to 1, so the
 sum of principal-branch logarithms is well conditioned and cannot underflow.
 
@@ -55,6 +65,15 @@ EULER_GAMMA = 0.5772156649015329
 # Policy constants for the characteristic-function tail estimate.
 TAIL_CONSTANT = 2.0
 TAIL_P0 = 11
+
+# The characteristic-function split (see char_function): the summed cumulant
+# remainder at max|t| stays under CUMULANT_BUDGET, with series orders up to
+# CUMULANT_MAX_ORDER over chunks of CUMULANT_CHUNK primes; the exact small
+# primes go in (t, prime) blocks of at most EXACT_ELEMENTS.
+CUMULANT_BUDGET = 1e-13
+CUMULANT_MAX_ORDER = 20
+CUMULANT_CHUNK = 2 ** 13
+EXACT_ELEMENTS = 2 ** 16
 
 # Vector kernels drop series terms with p^j above this; such terms are below
 # 1e-14 relative for every catalog entry (|f(p^j)| <= ~300 there).
@@ -170,61 +189,110 @@ class CharFnProfile:
     P: int
 
 
-def _uniform_step(ts: np.ndarray) -> float | None:
-    if ts.size < 3:
-        return None
-    d = np.diff(ts)
-    h = float(d[0])
-    if h > 0 and np.all(np.abs(d - h) < 1e-12 * max(1.0, abs(h))):
-        return h
-    return None
+def _policy_tail(f: MultFunc, ts: np.ndarray, P: int) -> np.ndarray:
+    """Truncation tail over p > P: sum_{p>P} |twisted/plain - 1| <=
+    C ((1+|t|)/p^2 + eta mass), with sum_{p>P} p^-2 < 1/P."""
+    return (TAIL_CONSTANT * (1.0 + np.abs(ts)) + f.eta_coeff) / P
+
+
+def _exact_product(ts, levels, plain, n0: int) -> np.ndarray:
+    """prod_{p among the first n0 primes} twisted(p, t)/plain(p), per t, in
+    blocks of t that keep each (t, prime) temporary within EXACT_ELEMENTS.
+
+    At t = 0 every phase is exactly 1, so acc reproduces plain's own
+    accumulation and the product is exactly 1.
+    """
+    out = np.empty(ts.size, dtype=np.complex128)
+    # real and imaginary parts divided as floats: numpy's complex division
+    # multiplies by a reciprocal, so there acc/plain need not be exactly 1
+    plain2 = np.repeat(plain[:n0], 2)
+    rows = max(1, EXACT_ELEMENTS // max(n0, 1))
+    for a in range(0, ts.size, rows):
+        tb = ts[a:a + rows, None]
+        acc = np.ones((tb.size, n0), dtype=np.complex128)
+        for cnt, w, lr in levels:
+            c = min(cnt, n0)
+            acc[:, :c] += w[:c] * np.exp(1j * tb * lr[:c])
+        acc.view(np.float64)[:] /= plain2
+        out[a:a + rows] = np.prod(acc, axis=1)
+    return out
+
+
+def _chunk_log_series(levels, plain, a: int, b: int, K: int) -> np.ndarray:
+    """Taylor coefficients c_1..c_K of sum_p log phi_p(z) over the primes with
+    index a..b-1, phi_p(z) = sum_j q_j e^{z lr_j}, q_j = w_j/plain(p); c_k is
+    the summed k-th cumulant over k!.
+
+    Per prime, phi_p(z) = 1 + sum_k a_k z^k with moments a_k =
+    sum_j q_j lr_j^k/k!, and the coefficients b_k of log phi_p follow from
+    (log phi_p)' phi_p = phi_p':  k b_k = k a_k - sum_{m<k} m b_m a_{k-m}.
+    """
+    mom = np.zeros((K + 1, b - a))  # mom[k] = a_k per prime
+    for cnt, w, lr in levels:
+        m = min(cnt, b) - a
+        if m <= 0:
+            break
+        term = w[a:a + m] / plain[a:a + m]
+        for k in range(1, K + 1):
+            term = term * lr[a:a + m] / k
+            mom[k, :m] += term
+    log_coef = np.zeros_like(mom)  # log_coef[k] = b_k per prime
+    for k in range(1, K + 1):
+        m = np.arange(1, k)[:, None]
+        log_coef[k] = mom[k] - np.sum(m * log_coef[1:k] * mom[k - 1:0:-1], axis=0) / k
+    return log_coef[1:].sum(axis=1)
 
 
 def char_function(f: MultFunc, ts, P: int) -> CharFnProfile:
     """prod_{p<=P} twisted(p, t) / plain(p) on the given t grid.
 
     Nonnegative f only (the product is then a genuine characteristic
-    function).  At t = 0 the value is exactly 1 by construction.  On a
-    uniform t grid the per-prime phases are advanced by a complex recurrence
-    instead of fresh exponentials, which makes dense quadrature grids cheap.
+    function).  At t = 0 the value is exactly 1 by construction.
+
+    Primes p <= P0 enter exactly, one factor per (t, p); the primes above
+    enter as exp(sum_k c_k (it)^k), their summed cumulant series (see the
+    module docstring).  Cut at order K, the series drops at most
+    M_p q^(K+1)/(1-q) at p, M_p = log plain(p), q = |t|/R_p.  P0 is set so
+    that q <= 1/2 and order CUMULANT_MAX_ORDER keeps the sum of that under
+    CUMULANT_BUDGET; K is chosen per chunk of CUMULANT_CHUNK primes for the
+    same budget, and the remainder it leaves, per t, is added to tail_bounds.
     """
     if not f.nonneg:
         raise ValueError("characteristic-function product needs a nonnegative function")
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("t values must be finite")
     P = int(P)
     ps, levels, plain = _level_tables(f, P)
+    t_max = float(np.max(np.abs(ts), initial=0.0))
+    # per-prime share of the budget: sum_p M_p eps <= CUMULANT_BUDGET, and
+    # q^(K+1)/(1-q) <= eps for q <= rho_cut at K = CUMULANT_MAX_ORDER
+    m_p = np.log(plain)
+    eps = CUMULANT_BUDGET / max(float(np.sum(m_p)), 1e-300)
+    rho_cut = min(0.5, (eps / 2.0) ** (1.0 / (CUMULANT_MAX_ORDER + 1)))
+    P0 = math.ceil(t_max / (rho_cut * math.log(2.0)))
+    n0 = int(np.searchsorted(ps, P0, side="right"))
 
-    def eval_direct(t):
-        # at t = 0 every phase is exactly 1, so acc reproduces plain's own
-        # accumulation and the product is exactly 1
-        acc = np.ones(ps.size, dtype=np.complex128)
-        for cnt, w, lr in levels:
-            acc[:cnt] += w * np.exp(1j * t * lr)
-        return np.prod(acc / plain)
-
-    out = np.empty(ts.size, dtype=np.complex128)
-    h = _uniform_step(ts)
-    if h is not None:
-        bases = [np.exp(1j * h * lr) for _, _, lr in levels]
-        phases = [np.exp(1j * ts[0] * lr) for _, _, lr in levels]
-        for k in range(ts.size):
-            t = float(ts[k])
-            if t == 0.0:
-                out[k] = eval_direct(0.0)
-            else:
-                acc = np.ones(ps.size, dtype=np.complex128)
-                for (cnt, w, _), ph in zip(levels, phases):
-                    acc[:cnt] += w * ph
-                out[k] = np.prod(acc / plain)
-            if k + 1 < ts.size:
-                for ph, base in zip(phases, bases):
-                    ph *= base
-    else:
-        for k, t in enumerate(ts):
-            out[k] = eval_direct(float(t))
-    # tail: sum_{p>P} |twisted/plain - 1| <= C ((1+|t|)/p^2 + eta mass), with
-    # sum_{p>P} p^-2 < 1/P
-    tails = (TAIL_CONSTANT * (1.0 + np.abs(ts)) + f.eta_coeff) / P
+    out = _exact_product(ts, levels, plain, n0)
+    series = np.zeros(CUMULANT_MAX_ORDER + 1)  # series[k] = c_k
+    remainder = np.zeros(ts.size)
+    for a in range(n0, ps.size, CUMULANT_CHUNK):
+        b = min(a + CUMULANT_CHUNK, ps.size)
+        r_min = (float(ps[a]) - 1.0) * math.log(2.0)  # R_p of the chunk's first prime
+        rho = t_max / r_min
+        if rho == 0.0:
+            continue
+        K = max(0, min(CUMULANT_MAX_ORDER,
+                       math.ceil(math.log(eps * (1.0 - rho)) / math.log(rho)) - 1))
+        series[1:K + 1] += _chunk_log_series(levels, plain, a, b, K)
+        q = np.abs(ts) / r_min
+        remainder += float(np.sum(m_p[a:b])) * q ** (K + 1) / (1.0 - q)
+    log_tail = np.zeros(ts.size, dtype=np.complex128)
+    z = 1j * ts
+    for c in series[:0:-1]:  # Horner, ending on a factor z: exactly 0 at t = 0
+        log_tail = (log_tail + c) * z
+    out *= np.exp(log_tail)
+    tails = _policy_tail(f, ts, P) + remainder
     return CharFnProfile(f.spec_string(), ts, out, tails, P)
 
 

@@ -4,10 +4,12 @@ Everything here recomputes the objects under test from definitions, by a
 different algorithm than the library uses: divisor-loop sigma, slice-sieve
 Moebius, lattice enumeration for the two-squares counts, hyperbola sums for
 tau, Euler-criterion characters.  Values asserted in tests are produced (or
-cross-checked) by these.  The one exception is empirical_char_function, the
-sieve side of the characteristic-function checks: it reads sigma and f from
+cross-checked) by these.  The two exceptions are the characteristic-function
+oracles.  empirical_char_function, the sieve side, reads sigma and f from
 ddl.sieve.scan_segments, whose values the sieve tests check against the
-oracles above.  segment_size is not an oracle but the one way tests choose a
+oracles above.  char_function_direct, the per-t Euler product, reads the
+local series from ddl.analytic._level_tables, which the analytic tests check
+against closed forms.  segment_size is not an oracle but the one way tests choose a
 scan layout other than ddl.sieve.SEGMENT_SIZE.
 """
 
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 import ddl.sieve
+from ddl.analytic import _level_tables
 from ddl.sieve import scan_segments
 
 
@@ -206,3 +209,17 @@ def empirical_char_function(f, x: int, ts, **scan_kw) -> np.ndarray:
     if S == 0:
         raise ValueError(f"S(f;x) = 0 for f = {f.id}")
     return acc / S
+
+
+def char_function_direct(f, ts, P: int) -> np.ndarray:
+    """prod_{p<=P} twisted(p, t)/plain(p), one t at a time over every prime
+    <= P: no split and no series, O(#t * pi(P))."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+    ps, levels, plain = _level_tables(f, int(P))
+    out = np.empty(ts.size, dtype=np.complex128)
+    for k, t in enumerate(ts):
+        acc = np.ones(ps.size, dtype=np.complex128)
+        for cnt, w, lr in levels:
+            acc[:cnt] += w * np.exp(1j * t * lr)
+        out[k] = np.prod(acc / plain)
+    return out

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ddl
-from ddl.analytic import (WitnessNotFound, _level_tables, char_function,
-                          continuity_diagnostic, greedy_witness, halasz_series,
+from ddl.analytic import (CUMULANT_BUDGET, WitnessNotFound, _level_tables, _policy_tail,
+                          char_function, continuity_diagnostic, greedy_witness, halasz_series,
                           mean_value_product, mertens_kappa, wirsing_prediction)
 from ddl.multfunc import evaluate, make
 from ddl.sieve import primes_up_to
@@ -128,13 +129,59 @@ def test_char_function_basics():
         char_function(make("mu"), ts, 100)
 
 
-def test_char_function_uniform_recurrence_matches_direct():
+def test_char_function_order_and_spacing_invariant():
+    # one evaluation path for every t grid: the same t gives the same value
+    # whatever order, spacing or companions it comes with
+    tau = make("tau")
     ts_uniform = np.arange(0.0, 3.0001, 0.25)
-    prof_u = char_function(make("tau"), ts_uniform, 10 ** 4)
-    # same points, shuffled order defeats the uniform fast path
+    prof_u = char_function(tau, ts_uniform, 10 ** 4)
     perm = np.array([3, 0, 7, 1, 12, 5, 2, 9, 4, 11, 6, 10, 8])
-    prof_d = char_function(make("tau"), ts_uniform[perm], 10 ** 4)
+    prof_d = char_function(tau, ts_uniform[perm], 10 ** 4)
     assert np.allclose(prof_u.values[perm], prof_d.values, atol=5e-12)
+    ragged = np.concatenate([ts_uniform, [0.01, 0.3, 1.777, 2.9]])
+    prof_r = char_function(tau, ragged, 10 ** 4)
+    assert np.allclose(prof_r.values[:ts_uniform.size], prof_u.values, atol=5e-12)
+    one_each = [char_function(tau, [t], 10 ** 4).values[0] for t in ts_uniform]
+    assert np.allclose(one_each, prof_u.values, atol=5e-12)
+
+
+@pytest.mark.parametrize("spec", ["one", "tau", "r"])
+def test_char_function_matches_direct_product(spec):
+    f = make(spec)
+    ts = np.array([-400.0, -37.5, -2.25, -0.3, 0.0, 0.05, 0.7, 3.1, 12.0,
+                   55.5, 123.4, 250.0, 399.9, 400.0])
+    prof = char_function(f, ts, 10 ** 5)
+    rem = prof.tail_bounds - _policy_tail(f, ts, 10 ** 5)  # the cumulant remainder
+    assert np.all(rem >= 0) and 0 < rem[-1] <= CUMULANT_BUDGET  # stated at t = 400
+    direct = oracles.char_function_direct(f, ts, 10 ** 5)
+    assert np.all(np.abs(prof.values - direct) <= rem + 1e-12)
+
+
+def test_char_function_degenerate_cut_is_exact():
+    # at t = 1e4 the cut lies above P = 1e4: every prime enters exactly and
+    # the series adds no remainder
+    ts = np.array([-1e4, -2.5, 0.0, 17.0, 1e4])
+    for f in (ONE, make("r")):
+        prof = char_function(f, ts, 10 ** 4)
+        assert np.array_equal(prof.tail_bounds, _policy_tail(f, ts, 10 ** 4))
+        direct = oracles.char_function_direct(f, ts, 10 ** 4)
+        assert np.allclose(prof.values, direct, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(ts=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=8),
+       spec=st.sampled_from(["one", "tau", "r", "mu_squared", "sigma_over_n"]),
+       P=st.sampled_from([100, 1000, 30000]))
+def test_char_function_properties(ts, spec, P):
+    f = make(spec)
+    grid = np.concatenate([ts, [0.0], -np.array(ts)])
+    prof = char_function(f, grid, P)
+    n = len(ts)
+    assert prof.values[n] == 1.0 + 0.0j  # exact at t = 0
+    assert np.allclose(prof.values[n + 1:], np.conj(prof.values[:n]), rtol=0, atol=1e-12)
+    assert np.all(np.abs(prof.values) <= 1.0 + prof.tail_bounds)
+    policy = (2.0 * (1.0 + np.abs(grid)) + f.eta_coeff) / P
+    assert np.all(prof.tail_bounds >= policy)
 
 
 def test_char_function_truncation_self_consistency():
