@@ -129,9 +129,10 @@ def test_char_function_basics():
         char_function(make("mu"), ts, 100)
 
 
-def test_char_function_order_and_spacing_invariant():
-    # one evaluation path for every t grid: the same t gives the same value
-    # whatever order, spacing or companions it comes with
+def test_char_function_uniform_recurrence_matches_direct():
+    # a uniform t grid once had its own phase recurrence; now one evaluation
+    # path serves every grid, so the same t gives the same value whatever
+    # order, spacing or companions it comes with
     tau = make("tau")
     ts_uniform = np.arange(0.0, 3.0001, 0.25)
     prof_u = char_function(tau, ts_uniform, 10 ** 4)
