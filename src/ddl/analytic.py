@@ -155,6 +155,8 @@ def mean_value_product(f: MultFunc, P: int) -> EulerProductValue:
     factors = (1.0 - 1.0 / ps.astype(np.float64)) * plain
     if np.any(np.abs(factors) < 1e-300):
         value = 0.0 + 0.0j
+    elif factors.dtype == np.float64 and np.all(factors > 0):
+        value = np.exp(np.sum(np.log(factors)))  # no complex128 copy for a positive real f
     else:
         value = np.exp(np.sum(np.log(factors.astype(np.complex128))))
     return EulerProductValue(complex(value), P, _product_tail(f, P))

@@ -191,16 +191,6 @@ class WeightedCdfEstimate:
     def values(self) -> np.ndarray:
         return self.raw / self.normalizer
 
-    def raw_at(self, u):
-        return self.raw[self.grid.index(u)]
-
-    def value_at(self, u):
-        return self.raw_at(u) / self.normalizer
-
-    def raw_counts(self) -> np.ndarray:
-        """Raw sums as exact int64 counts (valid for integer-valued weights)."""
-        return np.rint(self.raw.real).astype(np.int64)
-
     def log_cdf(self):
         """(log u, value) pairs over the strictly positive thresholds."""
         pos, logs = self.grid.log_points()
@@ -337,10 +327,6 @@ class EquidistTally:
     labels: tuple[int, ...]
     counts: np.ndarray  # int64 per label
     qualifying_total: int
-
-    @property
-    def densities(self) -> np.ndarray:
-        return self.counts / self.x
 
 
 def equidist_tally(mode: str, q: int, u, x: int, **scan_kw) -> EquidistTally:

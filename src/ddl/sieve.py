@@ -7,19 +7,25 @@ form n * den <= num * sigma(n) can be decided in integer arithmetic; floating
 point enters only when statistics are formed.  The per-segment work for each
 base prime p walks the powers p, p^2, ... with strided slice updates, which
 gives sigma(n), f(n) and Omega(n) for a whole segment in a handful of numpy
-passes (about sum_{p <= sqrt(x)} 1/p ~ 2.5 element-ops per n).  The values
-f(p^j) at the base primes are computed once per scan, one vectorized call
-per level j, and shared by every segment.
+passes (about sum_{p <= sqrt(x)} 1/p ~ 2.5 element-ops per n).  What is
+left of n after the base primes are divided out is 1 or one prime p above
+sqrt(hi); sigma takes its factor 1 + p in one unmasked multiply by
+rem + (rem > 1), and Omega its count by adding rem > 1.  Only f gathers
+those primes, to evaluate f(p) there.  The values f(p^j) at the base primes
+are computed once per scan, one vectorized call per level j, and shared by
+every segment.
 
 [1, x] is cut into segments of the fixed length SEGMENT_SIZE, so every scan
-up to x has the same layout.  Segments are independent work units; with
-workers > 1 they are computed by a thread pool and merged in segment order,
-so results do not depend on the worker count.  A sigma cache is used only
-when the caller names its directory; cache files are keyed by exact segment
-bounds, so every full segment is shared by all scans that reach it, and the
-last, partial segment only by scans to the same x.  Each file carries a
-crc32 of its payload; a file that fails it is ignored and the segment is
-sieved again.
+up to x has the same layout.  At 2^20 a segment's int64 arrays take 8 MB
+each, which keeps the strided passes close to cache; a smaller size would
+run the Python loop over the base primes more often per n.  Segments are
+independent work units; with workers > 1 they are computed by a thread pool
+and merged in segment order, so results do not depend on the worker count.
+A sigma cache is used only when the caller names its directory; cache files
+are keyed by exact segment bounds, so every full segment is shared by all
+scans that reach it, and the last, partial segment only by scans to the
+same x.  Each file carries a crc32 of its payload; a file that fails it is
+ignored and the segment is sieved again.
 """
 
 from __future__ import annotations
@@ -52,8 +58,9 @@ __all__ = [
 ]
 
 # Length of every scan segment but the last.  Changing it changes the
-# segment bounds, so cache files written before no longer match.
-SEGMENT_SIZE = 1 << 22
+# segment bounds, so most cache files written before match no segment: they
+# are missed and sieved again.
+SEGMENT_SIZE = 1 << 20
 
 # Upper bound on sieved n.  sigma(n) < n (1 + ln n) keeps every threshold
 # product num * sigma(n) with num <= 10^6 far below 2^63, and lets cache
@@ -178,15 +185,17 @@ def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
                 sigma[s1::p] *= geo
             if fdesc is not None:
                 fv[s1::p] *= fp
+        # What is left in rem is 1 or one prime above sqrt(hi).
         big = rem > 1
-        if need_sigma:
-            sigma[big] *= rem[big] + 1
+        if want_omega:
+            om += big
         if fdesc is not None:
             bp = rem[big]
             if bp.size:
                 fv[big] *= fdesc.at_primes(bp)
-        if want_omega:
-            om[big] += 1
+        if need_sigma:
+            rem += big  # 1 + p for a leftover prime p, and 1 where rem = 1
+            sigma *= rem
     return n, sigma, fv, om
 
 

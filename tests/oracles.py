@@ -10,7 +10,8 @@ ddl.sieve.scan_segments, whose values the sieve tests check against the
 oracles above.  char_function_direct, the per-t Euler product, reads the
 local series from ddl.analytic._level_tables, which the analytic tests check
 against closed forms.  segment_size is not an oracle but the one way tests choose a
-scan layout other than ddl.sieve.SEGMENT_SIZE.
+scan layout other than ddl.sieve.SEGMENT_SIZE, and raw_at, value_at,
+raw_counts and densities only read results the library returns.
 """
 
 from __future__ import annotations
@@ -37,6 +38,26 @@ def segment_size(n: int):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ddl.sieve, "SEGMENT_SIZE", n)
         yield
+
+
+def raw_at(est, u):
+    """The raw sum of a WeightedCdfEstimate at its grid threshold u."""
+    return est.raw[est.grid.index(u)]
+
+
+def value_at(est, u):
+    """The estimate's value, raw / normalizer, at its grid threshold u."""
+    return raw_at(est, u) / est.normalizer
+
+
+def raw_counts(est) -> np.ndarray:
+    """The raw sums as exact int64 counts (for integer-valued weights)."""
+    return np.rint(est.raw.real).astype(np.int64)
+
+
+def densities(tally) -> np.ndarray:
+    """An EquidistTally's counts per class over x."""
+    return tally.counts / tally.x
 
 
 def sigma_brute(n: int) -> int:

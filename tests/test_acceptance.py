@@ -64,7 +64,7 @@ def est_r_x7():
 # ---------------------------------------------------------------------------
 
 def test_01_abundant_density_anchor(est_one_x8):
-    v = est_one_x8.value_at(HALF).real
+    v = oracles.value_at(est_one_x8, HALF).real
     report("01 abundant-density-anchor", 0.2461 <= v <= 0.2491,
            f"D_1e8(1/2) = {v:.6f}, window [0.2461, 0.2491]")
 
@@ -82,7 +82,7 @@ def test_02_mean_value_consistency():
     for spec, target in (("phi_over_n", 0.607927), ("sigma_over_n", 1.644934)):
         f = parse_spec(spec)
         ana = mean_value_product(f, 10 ** 6).value.real
-        emp = estimate_weighted_cdf(f, X7, ThresholdGrid.parse("half")).value_at(1).real
+        emp = oracles.value_at(estimate_weighted_cdf(f, X7, ThresholdGrid.parse("half")), 1).real
         ok = abs(ana - emp) < 1e-3 and abs(ana - target) < 1e-3 and abs(emp - target) < 1e-3
         report(f"02 mean-value-{spec}", ok,
                f"product {ana:.6f}, sieve {emp:.6f}, target {target}")
@@ -129,10 +129,10 @@ def test_03_vanishing_distributions(spec):
 
 def test_04_omega_equidistribution(est_one_x7):
     tally = equidist_tally("omega", 3, HALF, X7)
-    half_count = int(est_one_x7.raw_at(HALF).real)
+    half_count = int(oracles.raw_at(est_one_x7, HALF).real)
     partition_ok = int(tally.counts.sum()) == half_count == tally.qualifying_total
-    target = est_one_x7.value_at(HALF).real / 3
-    dev = float(np.max(np.abs(tally.densities - target)))
+    target = oracles.value_at(est_one_x7, HALF).real / 3
+    dev = float(np.max(np.abs(oracles.densities(tally) - target)))
     report("04 omega-equidistribution", partition_ok and dev <= 0.01,
            f"class sums {int(tally.counts.sum())} vs count {half_count}, "
            f"max class deviation {dev:.2e} (tolerance 0.01)")
@@ -146,7 +146,7 @@ def test_05_lattice_identity_and_pi_over_4(est_r_x7):
     grid = ThresholdGrid.default()
     lat = lattice_circle_cdf(10 ** 6, grid)
     rsv = estimate_weighted_cdf(make("r"), 10 ** 6, grid)
-    identical = np.array_equal(lat.raw_counts(), 4 * rsv.raw_counts())
+    identical = np.array_equal(oracles.raw_counts(lat), 4 * oracles.raw_counts(rsv))
     report("05 lattice-vs-sieve-identity", identical,
            "lattice counts equal 4 x r-weighted counts at every default-grid u, R = 1e6")
 
@@ -210,7 +210,7 @@ def test_08_inversion_round_trip_sup(est_one_x7, profile_x6):
 def test_08_inversion_half_point(est_one_x8, profile_x6):
     pts = np.array([math.log(0.5)])
     inv = invert(profile_x6, pts, T=200.0, step=0.05)
-    anchor = est_one_x8.value_at(HALF).real
+    anchor = oracles.value_at(est_one_x8, HALF).real
     diff = abs(float(inv.values[0]) - anchor)
     report("08 inversion-half-point", diff <= 0.01,
            f"inverted F(log 1/2) = {float(inv.values[0]):.6f} vs anchor {anchor:.6f} "
@@ -231,8 +231,8 @@ def test_09_dtilde_monotone(spec, est_tau_x7, est_r_x7):
     est = est_tau_x7 if spec == "tau" else est_r_x7
     vals = est.values.real
     monotone = bool(np.all(np.diff(vals) >= 0))
-    half = est.value_at(HALF).real
-    interior = 0 < half < 1 and half >= est.value_at(Fraction(2, 5)).real
+    half = oracles.value_at(est, HALF).real
+    interior = 0 < half < 1 and half >= oracles.value_at(est, Fraction(2, 5)).real
     report(f"09 dtilde-monotone-{spec}", monotone and interior,
            f"values nondecreasing across the default grid, Dt(1/2) = {half:.4f}")
 
@@ -449,7 +449,7 @@ def test_11_brute_force_other_ops(brute_setup):
             n = a * a + b * b
             if 0 < n <= BRUTE_X:
                 hist[jmin[n]] += 1
-    ok_lat = np.array_equal(lat.raw_counts(), np.cumsum(hist[:m]))
+    ok_lat = np.array_equal(oracles.raw_counts(lat), np.cumsum(hist[:m]))
     report("11 brute-lattice", ok_lat, "lattice counts match a naive double loop")
 
     # self-normalized mode for a nonnegative entry

@@ -95,7 +95,7 @@ def test_empirical_mean_cross_check():
     from ddl.empirical import ThresholdGrid, estimate_weighted_cdf
     est = estimate_weighted_cdf(make("phi_over_n"), 10 ** 6, ThresholdGrid.parse("half"))
     ana = mean_value_product(make("phi_over_n"), 10 ** 6)
-    assert abs(est.value_at(1).real - ana.value.real) < 1e-3
+    assert abs(oracles.value_at(est, 1).real - ana.value.real) < 1e-3
 
 
 @pytest.mark.parametrize("spec,oracle", [

@@ -1,10 +1,12 @@
 """Sieve correctness: exact sigma tables and segment scans against independent oracles."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 
-from ddl.multfunc import evaluate, make, trial_factorize
-from ddl.sieve import (ResourceLimitError, SIEVE_LIMIT, SieveError,
+from ddl.multfunc import evaluate, make, parse_spec, trial_factorize
+from ddl.sieve import (ResourceLimitError, SIEVE_LIMIT, SieveError, _segment_tables,
                        primes_up_to, read_segment_cache, scan_segments,
                        sigma_table, write_segment_cache)
 
@@ -124,6 +126,57 @@ def test_omega_values():
         for k in range(0, chunk.n.size, 19):
             n = int(chunk.n[k])
             assert int(chunk.omega[k]) == oracles.omega_big_brute(n)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("spec", ["tau", "lambda:a=1,q=3", "phi_over_n"])
+def test_scan_tables_against_brute(tmp_path, spec, cached):
+    # several segments, so all but the first start past 1; with the cache on,
+    # sigma is read from disk and only f and Omega are sieved.  phi_over_n is
+    # the one f here whose value at a leftover prime depends on the prime.
+    x, size = 12_000, 2503
+    f = parse_spec(spec)
+    cache_dir = None
+    with oracles.segment_size(size):
+        if cached:
+            cache_dir = str(tmp_path)
+            for chunk in scan_segments(x):
+                write_segment_cache(tmp_path, chunk.lo, chunk.hi, chunk.sigma)
+        chunks = list(scan_segments(x, f=f, with_omega=True, cache_dir=cache_dir))
+    assert [c.lo for c in chunks] == list(range(1, x + 1, size))
+    kinds = set()
+    for c in chunks:
+        for k, n in enumerate(c.n.tolist()):
+            fac = oracles.factor_brute(n)
+            if n == 1:
+                kinds.add("one")
+            elif fac[-1][0] > isqrt(c.hi):
+                kinds.add("leftover prime")
+            else:
+                kinds.add("rem = 1")
+            assert int(c.sigma[k]) == oracles.sigma_brute(n), n
+            assert int(c.omega[k]) == oracles.omega_big_brute(n), n
+            if spec == "tau":
+                assert c.fvals[k] == np.prod([j + 1 for _, j in fac]), n
+            elif spec == "phi_over_n":
+                assert c.fvals[k] == pytest.approx(np.prod([1 - 1 / q for q, _ in fac]), rel=1e-13), n
+            else:
+                assert abs(c.fvals[k] - oracles.lambda_brute(n, 1, 3)) < 1e-12, n
+    assert kinds == {"one", "leftover prime", "rem = 1"}
+
+
+def test_segment_tables_at_sieve_limit():
+    # the largest sigma products the sieve forms, in one short segment ending at SIEVE_LIMIT
+    lo, hi = SIEVE_LIMIT - 4095, SIEVE_LIMIT
+    n, sigma, _, _ = _segment_tables(lo, hi, primes_up_to(isqrt(hi)), None, None, False)
+    assert np.array_equal(n, np.arange(lo, hi + 1))
+    # the primes among the last 100 n, by trial division: their leftover is n itself
+    prime_ks = [m - lo for m in range(hi - 99, hi + 1) if oracles.factor_brute(m) == [(m, 1)]]
+    picks = set(np.argsort(sigma)[-10:].tolist()) | set(range(0, n.size, 409)) | set(prime_ks)
+    assert len(prime_ks) == 5 and len(picks) >= 20
+    for k in sorted(picks):
+        m = int(n[k])
+        assert int(sigma[k]) == oracles.sigma_brute(m), m
 
 
 def test_cache_round_trip(tmp_path):
