@@ -159,7 +159,8 @@ def test_scan_tables_against_brute(tmp_path, spec, cached):
             if spec == "tau":
                 assert c.fvals[k] == np.prod([j + 1 for _, j in fac]), n
             elif spec == "phi_over_n":
-                assert c.fvals[k] == pytest.approx(np.prod([1 - 1 / q for q, _ in fac]), rel=1e-13), n
+                phi_ratio = np.prod([1 - 1 / q for q, _ in fac])
+                assert c.fvals[k] == pytest.approx(phi_ratio, rel=1e-13), n
             else:
                 assert abs(c.fvals[k] - oracles.lambda_brute(n, 1, 3)) < 1e-12, n
     assert kinds == {"one", "leftover prime", "rem = 1"}
