@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ddl.multfunc import evaluate, make, parse_spec, trial_factorize
-from ddl.sieve import (ResourceLimitError, SIEVE_LIMIT, SieveError, _segment_tables,
-                       primes_up_to, read_segment_cache, scan_segments,
+from ddl.sieve import (ResourceLimitError, SEGMENT_SIZE, SIEVE_LIMIT, SieveError,
+                       _segment_tables, primes_up_to, read_segment_cache, scan_segments,
                        sigma_table, write_segment_cache)
 
 import oracles
@@ -32,6 +32,37 @@ def test_primes_up_to():
         ps = primes_up_to(limit)
         assert ps.dtype == np.int64
         assert np.array_equal(ps, oracles.primes_brute(limit)), limit
+
+
+def test_primes_up_to_segment_edges():
+    # slot i is 2i + 1, so segment k of the odd sieve begins at 2 k SEGMENT_SIZE + 1:
+    # each limit ends one slot before, on, or just past a segment's first slot
+    for k in (1, 2):
+        for d in (-1, 0, 1, 2):
+            limit = 2 * k * SEGMENT_SIZE + d
+            ps = primes_up_to(limit)
+            assert ps.dtype == np.int64
+            assert np.array_equal(ps, oracles.primes_brute(limit)), limit
+        # some base prime p <= sqrt(first) divides the segment's first number,
+        # so the offset it carries into segment k is 0
+        first = 2 * k * SEGMENT_SIZE + 1
+        assert any(first % p == 0 for p in range(3, isqrt(first) + 1, 2))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 12, 24, 60, 1000])
+def test_primes_up_to_small_segments(size):
+    # sizes 4, 12, 24 and 60 are p^2 // 2 for p = 3, 5, 7, 11: p's first
+    # multiple p^2 falls exactly on the first slot of segment 1
+    with oracles.segment_size(size):
+        for limit in [*range(160), 2 * size * 7 + 1, 5_003, 30_011]:
+            assert np.array_equal(primes_up_to(limit), oracles.primes_brute(limit)), limit
+
+
+def test_primes_up_to_1e8():
+    ps = primes_up_to(10 ** 8)
+    assert ps.size == 5_761_455
+    assert ps[-1] == 99_999_989
+    assert int(ps.sum()) == 279_209_790_387_276
 
 
 def test_segment_examples():
@@ -223,3 +254,6 @@ def test_bounds_and_limits():
     # refused before anything is allocated: the dense table would need 2.4 GB
     with pytest.raises(ResourceLimitError, match="over the 2.0 GB budget"):
         sigma_table(300_000_000)
+    # refused before the sieve starts, on the estimate of a whole-range mask and list
+    with pytest.raises(ResourceLimitError, match="need 89.5 GB, over the 2.0 GB budget"):
+        primes_up_to(10 ** 11)
