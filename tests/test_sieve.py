@@ -52,7 +52,8 @@ def test_primes_up_to_segment_edges():
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 12, 24, 60, 1000])
 def test_primes_up_to_small_segments(size):
     # sizes 4, 12, 24 and 60 are p^2 // 2 for p = 3, 5, 7, 11: p's first
-    # multiple p^2 falls exactly on the first slot of segment 1
+    # multiple p^2 falls exactly on the first slot of segment 1; the limit
+    # 14 size + 1 ends on the first slot of segment 7
     with oracles.segment_size(size):
         for limit in [*range(160), 2 * size * 7 + 1, 5_003, 30_011]:
             assert np.array_equal(primes_up_to(limit), oracles.primes_brute(limit)), limit
