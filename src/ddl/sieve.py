@@ -7,13 +7,21 @@ form n * den <= num * sigma(n) can be decided in integer arithmetic; floating
 point enters only when statistics are formed.  The per-segment work for each
 base prime p walks the powers p, p^2, ... with strided slice updates, which
 gives sigma(n), f(n) and Omega(n) for a whole segment in a handful of numpy
-passes (about sum_{p <= sqrt(x)} 1/p ~ 2.5 element-ops per n).  What is
-left of n after the base primes are divided out is 1 or one prime p above
-sqrt(hi); sigma takes its factor 1 + p in one unmasked multiply by
-rem + (rem > 1), and Omega its count by adding rem > 1.  Only f gathers
-those primes, to evaluate f(p) there.  The values f(p^j) at the base primes
-are computed once per scan, one vectorized call per level j, and shared by
-every segment.
+passes (about sum_{p <= sqrt(x)} 1/p ~ 2.5 element-ops per n).  The
+cofactor rem, n with the base primes divided out, is held as uint32: it is
+exact because n <= SIEVE_LIMIT < 2^32, and so is the step below that adds 1
+to a leftover prime, since SIEVE_LIMIT + 1 < 2^32 as well.  The strided
+divisions then move half the bytes of int64.  Each prime's factors for the
+multiples of p, 1 + p + ... + p^j for sigma and f(p^j) for f, are slices of
+two scratch buffers of size // 2 + 1 allocated once per segment; they stay
+local to the call, because with workers > 1 segments run in threads at once.
+What is left in rem is 1 or one prime p above sqrt(hi).  sigma takes its
+factor 1 + p in one unmasked multiply by rem + (rem > 1), and Omega its
+count by adding rem > 1.  f's rule runs on every rem, 1 included, and one
+multiply masked by rem > 1 keeps its value at the leftover primes only; the
+value at 1 (0/0 for sigma_over_n) is computed with floating-point warnings
+off and discarded.  The values f(p^j) at the base primes are computed once
+per scan, one vectorized call per level j, and shared by every segment.
 
 The base primes come from primes_up_to, a segmented sieve of Eratosthenes
 over the odd numbers (slot i stands for 2i + 1).  Its own base primes, the
@@ -177,9 +185,13 @@ def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
     om = np.zeros(size, dtype=np.int16) if want_omega else None
 
     if need_sigma or fdesc is not None or want_omega:
-        rem = n.copy()
-        for i, p_ in enumerate(primes):
-            p = int(p_)
+        rem = n.astype(np.uint32)  # n <= SIEVE_LIMIT < 2^32
+        # one factor per multiple of p, the most being (size + 1) // 2 for p = 2
+        if need_sigma:
+            geo_buf = np.empty(size // 2 + 1, dtype=np.int64)
+        if fdesc is not None:
+            fp_buf = np.empty(size // 2 + 1, dtype=fv.dtype)
+        for i, p in enumerate(primes.tolist()):
             if p * p > hi:
                 break
             s1 = (-lo) % p
@@ -187,9 +199,11 @@ def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
                 continue
             cnt = (size - 1 - s1) // p + 1
             if need_sigma:
-                geo = np.full(cnt, 1 + p, dtype=np.int64)
+                geo = geo_buf[:cnt]
+                geo.fill(1 + p)
             if fdesc is not None:
-                fp = np.full(cnt, fpow[0][i], dtype=fv.dtype)
+                fp = fp_buf[:cnt]
+                fp.fill(fpow[0][i])
             rem[s1::p] //= p
             if want_omega:
                 om[s1::p] += 1
@@ -221,11 +235,12 @@ def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
         if want_omega:
             om += big
         if fdesc is not None:
-            bp = rem[big]
-            if bp.size:
-                fv[big] *= fdesc.at_primes(bp)
+            # f's rule runs on every rem; its value at rem = 1 (0/0 for
+            # sigma_over_n) is computed and then discarded by the mask
+            with np.errstate(all="ignore"):
+                np.multiply(fv, fdesc.at_primes(rem), out=fv, where=big)
         if need_sigma:
-            rem += big  # 1 + p for a leftover prime p, and 1 where rem = 1
+            rem += big  # 1 + p for a leftover prime p, and 1 where rem = 1; p + 1 < 2^32
             sigma *= rem
     return n, sigma, fv, om
 

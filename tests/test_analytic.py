@@ -46,6 +46,21 @@ def test_series_cutoff_rule():
     assert terms(999_983) == 2   # the largest prime below 1e6; p^3 > 1e17
 
 
+def test_level_logratio_near_one():
+    # lr = log(p^j / sigma(p^j)) = -log1p(s) with s = (sigma(p^j) - p^j) / p^j, taken
+    # as an exact rational; near p = 1e8 sigma(p^j)/p^j is within 1e-8 of 1, and
+    # the log of that ratio rounded to a double would keep only eight digits
+    ps, levels, _ = _level_tables(ONE, 10 ** 8)
+    for near in (10 ** 3, 10 ** 6, 10 ** 8):
+        ks = int(np.searchsorted(ps, near, side="right")) - np.arange(1, 4)
+        for j, (cnt, _, lr) in enumerate(levels[:2], start=1):
+            for k in ks.tolist():
+                p = int(ps[k])
+                assert k < cnt
+                s = Fraction(sum(p ** i for i in range(j)), p ** j)
+                assert lr[k] == pytest.approx(-math.log1p(s), rel=1e-15, abs=0), (p, j)
+
+
 def test_local_series_examples():
     ps, twisted, plain, higher = local_series(ONE, 10 ** 4, 0.0)
     assert np.array_equal(twisted, plain)  # t = 0

@@ -5,10 +5,11 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from ddl.multfunc import evaluate, make, parse_spec, trial_factorize
+from ddl.multfunc import (catalog_ids, evaluate, make, parse_spec, restrict_coprime,
+                          trial_factorize)
 from ddl.sieve import (ResourceLimitError, SEGMENT_SIZE, SIEVE_LIMIT, SieveError,
-                       _segment_tables, primes_up_to, read_segment_cache, scan_segments,
-                       sigma_table, write_segment_cache)
+                       _prime_power_table, _segment_tables, primes_up_to, read_segment_cache,
+                       scan_segments, sigma_table, write_segment_cache)
 
 import oracles
 
@@ -199,17 +200,77 @@ def test_scan_tables_against_brute(tmp_path, spec, cached):
 
 
 def test_segment_tables_at_sieve_limit():
-    # the largest sigma products the sieve forms, in one short segment ending at SIEVE_LIMIT
+    # the largest sigma products the sieve forms, in one short segment ending at
+    # SIEVE_LIMIT; a leftover prime near 4e9 plus 1 still fits the uint32 cofactor
     lo, hi = SIEVE_LIMIT - 4095, SIEVE_LIMIT
-    n, sigma, _, _ = _segment_tables(lo, hi, primes_up_to(isqrt(hi)), None, None, False)
+    primes = primes_up_to(isqrt(hi))
+    n, sigma, _, _ = _segment_tables(lo, hi, primes, None, None, False)
     assert np.array_equal(n, np.arange(lo, hi + 1))
     # the primes among the last 100 n, by trial division: their leftover is n itself
     prime_ks = [m - lo for m in range(hi - 99, hi + 1) if oracles.factor_brute(m) == [(m, 1)]]
     picks = set(np.argsort(sigma)[-10:].tolist()) | set(range(0, n.size, 409)) | set(prime_ks)
     assert len(prime_ks) == 5 and len(picks) >= 20
-    for k in sorted(picks):
-        m = int(n[k])
-        assert int(sigma[k]) == oracles.sigma_brute(m), m
+    facs = {k: oracles.factor_brute(int(n[k])) for k in sorted(picks)}
+    for k, fac in facs.items():
+        assert int(sigma[k]) == oracles.sigma_brute(int(n[k])), int(n[k])
+    # f and Omega over the same segment, sigma sieved alongside them
+    assert sum(fac[-1][0] > isqrt(hi) for fac in facs.values()) >= 10
+    for spec in ("tau", "phi_over_n", "r"):
+        f = make(spec)
+        _, sigma_f, fv, om = _segment_tables(lo, hi, primes, f, _prime_power_table(primes, f, hi),
+                                             True)
+        assert np.array_equal(sigma_f, sigma)
+        for k, fac in facs.items():
+            m = int(n[k])
+            assert int(om[k]) == sum(j for _, j in fac), m
+            if spec == "tau":
+                assert fv[k] == np.prod([j + 1 for _, j in fac]), m
+            elif spec == "phi_over_n":
+                assert fv[k] == pytest.approx(np.prod([1 - 1 / q for q, _ in fac]), rel=1e-13), m
+            else:
+                # r(n) = prod over q = 1 mod 4 of (j + 1), and 0 when some q = 3 mod 4
+                # has odd j
+                want = np.prod([j + 1 if q % 4 == 1 else 1 - j % 2 for q, j in fac if q != 2])
+                assert fv[k] == want, m
+
+
+# spec strings for the catalog entries that take parameters: both a real and
+# a complex exponent for the power rules, a real and a complex lambda
+CATALOG_PARAMS = {
+    "lfree": ["lfree:l=3"],
+    "phi_over_n_pow": ["phi_over_n_pow:re=-1.5,im=0", "phi_over_n_pow:re=0.5,im=2"],
+    "sigma_over_n_pow": ["sigma_over_n_pow:re=2,im=0", "sigma_over_n_pow:re=1,im=2"],
+    "lambda": ["lambda:a=1,q=2", "lambda:a=1,q=3"],
+    "principal_character": ["principal_character:q=6"],
+    "quadratic_character": ["quadratic_character:q=3"],
+}
+CATALOG_SCAN = [*(parse_spec(spec) for cid in catalog_ids()
+                  for spec in CATALOG_PARAMS.get(cid, [cid])),
+                restrict_coprime(make("sigma_over_n"), 5)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("f", CATALOG_SCAN, ids=lambda f: f.spec_string())
+def test_scan_f_values_over_catalog(tmp_path, f, cached):
+    # f's rule meets every n's cofactor, 1 included (0/0 for sigma_over_n),
+    # and only the leftover primes may keep its value; no warning may escape
+    x, size = 2_000, 449
+    cache_dir = None
+    with oracles.segment_size(size):
+        if cached:
+            cache_dir = str(tmp_path)
+            for chunk in scan_segments(x):
+                write_segment_cache(tmp_path, chunk.lo, chunk.hi, chunk.sigma)
+        chunks = list(scan_segments(x, f=f, cache_dir=cache_dir))
+    assert len(chunks) == 5
+    for c in chunks:
+        want = np.array([complex(evaluate(f, n)) for n in c.n.tolist()])
+        if f.is_one:
+            assert c.fvals is None and np.all(want == 1)
+            continue
+        assert c.fvals.dtype == (np.complex128 if f.complex_valued else np.float64)
+        np.testing.assert_allclose(c.fvals, want, rtol=1e-12, atol=0)
 
 
 def test_cache_round_trip(tmp_path):
@@ -248,6 +309,8 @@ def test_cache_payload_checksum(tmp_path):
 
 
 def test_bounds_and_limits():
+    # the sieve holds its cofactor as uint32, and a leftover prime plus 1 must fit
+    assert SIEVE_LIMIT + 1 < 2 ** 32
     with pytest.raises(SieveError):
         sigma_table(0)
     with pytest.raises(ResourceLimitError):
