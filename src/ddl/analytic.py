@@ -108,7 +108,7 @@ def _level_tables(f: MultFunc, P: int):
     if ps.size == 0:
         raise ValueError("prime bound P must be >= 2")
     pinv = 1.0 / ps
-    # s_j = sum_{i<=j} p^-i, so sigma(p^j)/p^j = 1 + s_j.  log1p(s_j) is exact
+    # s_j = sum_{i<=j} p^-i, so sigma(p^j)/p^j = 1 + s_j.  log1p(s_j) is good
     # to 1e-16 relative; the log of the closed form (1 - p^-(j+1)) / (1 - 1/p),
     # a ratio within 1/p of 1, loses up to 1.5e-8 of it at p near 1e8
     s = np.zeros(ps.size)

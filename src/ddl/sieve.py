@@ -173,8 +173,8 @@ def _prime_power_table(primes, fdesc, x):
 def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
     """Core per-segment pass: sigma, f values and Omega over [lo, hi].
 
-    fpow is the scan's f(p^j) table (_prime_power_table); fdesc evaluates f
-    only at the prime left over above sqrt(hi)."""
+    fpow is the scan's f(p^j) table (_prime_power_table); fdesc's rule gives
+    f at the prime left over above sqrt(hi)."""
     n = np.arange(lo, hi + 1, dtype=np.int64)
     size = n.size
     need_sigma = sigma_known is None
@@ -235,8 +235,7 @@ def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
         if want_omega:
             om += big
         if fdesc is not None:
-            # f's rule runs on every rem; its value at rem = 1 (0/0 for
-            # sigma_over_n) is computed and then discarded by the mask
+            # the rule's value at rem = 1 (0/0 for sigma_over_n) is dropped by the mask
             with np.errstate(all="ignore"):
                 np.multiply(fv, fdesc.at_primes(rem), out=fv, where=big)
         if need_sigma:

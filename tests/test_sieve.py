@@ -213,8 +213,8 @@ def test_segment_tables_at_sieve_limit():
     facs = {k: oracles.factor_brute(int(n[k])) for k in sorted(picks)}
     for k, fac in facs.items():
         assert int(sigma[k]) == oracles.sigma_brute(int(n[k])), int(n[k])
-    # f and Omega over the same segment, sigma sieved alongside them
     assert sum(fac[-1][0] > isqrt(hi) for fac in facs.values()) >= 10
+    # f and Omega over the same segment, sigma sieved alongside them
     for spec in ("tau", "phi_over_n", "r"):
         f = make(spec)
         _, sigma_f, fv, om = _segment_tables(lo, hi, primes, f, _prime_power_table(primes, f, hi),
