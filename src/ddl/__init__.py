@@ -10,8 +10,8 @@ the sieve against the analytic prediction.
 
 __version__ = "0.1.0"
 
-from .multfunc import (CatalogError, MultFunc, catalog_ids, evaluate, make,
-                       parse_spec, restrict_coprime)
+from .multfunc import (CatalogError, MultFunc, catalog_ids, make, parse_spec,
+                       restrict_coprime)
 from .sieve import ResourceLimitError, SieveError, primes_up_to, scan_segments
 from .empirical import (EquidistTally, GridError, ThresholdGrid,
                         WeightedCdfEstimate, equidist_tally,

@@ -112,11 +112,9 @@ def _estimate_csv(est, meta: dict) -> str:
     gen = meta["generated"]
     buf.write(f"# generated: {gen['timestamp']} wall={gen['wall_time_s']}s\n")
     buf.write("u_num,u_den,raw_re,raw_im,value_re,value_im\n")
-    vals = est.values
-    for k, u in enumerate(est.grid):
-        r = est.raw[k]
-        v = vals[k]
-        buf.write(f"{u.numerator},{u.denominator},{r.real:.12g},{r.imag:.12g},"
+    for num, den, r, v in zip(est.grid.nums.tolist(), est.grid.dens.tolist(),
+                              est.raw, est.values):
+        buf.write(f"{num},{den},{r.real:.12g},{r.imag:.12g},"
                   f"{v.real:.12g},{v.imag:.12g}\n")
     return buf.getvalue()
 
@@ -126,10 +124,10 @@ def _emit_estimate(est, args, t0):
     fmt = getattr(args, "format", "csv")
     out = getattr(args, "out", None)
     if fmt == "json":
-        rows = [{"u_num": u.numerator, "u_den": u.denominator,
-                 "raw_re": est.raw[k].real, "raw_im": est.raw[k].imag,
-                 "value_re": est.values[k].real, "value_im": est.values[k].imag}
-                for k, u in enumerate(est.grid)]
+        rows = [{"u_num": num, "u_den": den, "raw_re": r.real, "raw_im": r.imag,
+                 "value_re": v.real, "value_im": v.imag}
+                for num, den, r, v in zip(est.grid.nums.tolist(), est.grid.dens.tolist(),
+                                          est.raw, est.values)]
         _emit_json({"meta": meta, "mode": est.mode, "normalizer": est.normalizer,
                     "rows": rows}, out)
     else:

@@ -59,31 +59,41 @@ class GridError(ValueError):
 
 
 class ThresholdGrid:
-    """Strictly increasing reduced rational thresholds u = num/den in [0, 1]."""
+    """Strictly increasing reduced rational thresholds u_j = nums[j]/dens[j]
+    in [0, 1], held as two int64 arrays, with every dens[j] <= MAX_DENOMINATOR.
+    The constructor takes two integer sequences, reduces them by their gcd and
+    raises GridError for a grid that breaks any of these rules."""
 
-    __slots__ = ("fractions", "nums", "dens", "floats")
+    __slots__ = ("nums", "dens", "floats")
 
-    def __init__(self, thresholds):
-        fracs = [Fraction(t) for t in thresholds]
-        if not fracs:
+    def __init__(self, nums, dens):
+        try:
+            nums = np.array(nums, dtype=np.int64)
+            dens = np.array(dens, dtype=np.int64)
+        except OverflowError:
+            raise GridError(f"threshold terms past 64 bits; need 0 <= num <= den <= "
+                            f"{MAX_DENOMINATOR}") from None
+        if nums.size == 0:
             raise GridError("grid must contain at least one threshold")
-        for t in fracs:
-            if not (0 <= t <= 1):
-                raise GridError(f"threshold {t} outside [0, 1]")
-            if t.denominator > MAX_DENOMINATOR:
-                raise GridError(f"threshold denominator {t.denominator} over the {MAX_DENOMINATOR} cap")
-        for a, b in zip(fracs, fracs[1:]):
-            if not a < b:
-                raise GridError("thresholds must be strictly increasing")
-        self.fractions = tuple(fracs)
-        self.nums = np.array([t.numerator for t in fracs], dtype=np.int64)
-        self.dens = np.array([t.denominator for t in fracs], dtype=np.int64)
-        self.floats = self.nums / self.dens
+        bad = np.flatnonzero((nums < 0) | (nums > dens) | (dens < 1))
+        if bad.size:
+            raise GridError(f"threshold {nums[bad[0]]}/{dens[bad[0]]} outside [0, 1]")
+        g = np.gcd(nums, dens)
+        nums //= g
+        dens //= g
+        if dens.max() > MAX_DENOMINATOR:
+            raise GridError(f"threshold denominator {dens.max()} over the {MAX_DENOMINATOR} cap")
+        if np.any(nums[:-1] * dens[1:] >= nums[1:] * dens[:-1]):  # each side <= 10^12
+            raise GridError("thresholds must be strictly increasing")
+        self.nums, self.dens = nums, dens
+        self.floats = nums / dens
 
     @classmethod
     def default(cls, steps: int = 200) -> "ThresholdGrid":
         """u = k/steps for k = 0..steps (includes 1/2 and 1 for even steps)."""
-        return cls(Fraction(k, steps) for k in range(steps + 1))
+        if not 1 <= steps <= MAX_DENOMINATOR:  # refused before the steps + 1 thresholds are built
+            raise GridError(f"steps must lie in [1, {MAX_DENOMINATOR}]")
+        return cls(np.arange(steps + 1), np.full(steps + 1, steps))
 
     @classmethod
     def parse(cls, spec: str) -> "ThresholdGrid":
@@ -92,32 +102,21 @@ class ThresholdGrid:
         if spec == "default":
             return cls.default()
         if spec == "half":
-            return cls([Fraction(1, 2), Fraction(1)])
+            return cls([1, 1], [2, 1])
         if spec.startswith("steps:"):
             try:
                 n = int(spec.split(":", 1)[1])
             except ValueError:
                 raise GridError(f"bad steps spec {spec!r}") from None
-            if not 1 <= n <= MAX_DENOMINATOR:  # refused before the n + 1 thresholds are built
-                raise GridError(f"steps must lie in [1, {MAX_DENOMINATOR}]")
             return cls.default(n)
         try:
-            return cls(Fraction(part.strip()) for part in spec.split(","))
+            fracs = [Fraction(part.strip()) for part in spec.split(",")]
         except (ValueError, ZeroDivisionError):
             raise GridError(f"cannot parse grid spec {spec!r}") from None
+        return cls([t.numerator for t in fracs], [t.denominator for t in fracs])
 
     def __len__(self):
-        return len(self.fractions)
-
-    def __iter__(self):
-        return iter(self.fractions)
-
-    def index(self, u) -> int:
-        u = Fraction(u)
-        try:
-            return self.fractions.index(u)
-        except ValueError:
-            raise GridError(f"threshold {u} not in grid") from None
+        return self.nums.size
 
     def log_points(self):
         """(indices, log u) for the strictly positive thresholds."""
@@ -341,11 +340,9 @@ def equidist_tally(mode: str, q: int, u, x: int, **scan_kw) -> EquidistTally:
     if q > MAX_DENOMINATOR:  # one int64 count per class is allocated up front
         raise ResourceLimitError(f"q = {q} over the {MAX_DENOMINATOR} cap")
     u = Fraction(u)
-    if not (0 <= u <= 1):
-        raise ValueError("u must lie in [0, 1]")
     x = int(x)
     num, den = u.numerator, u.denominator
-    _check_threshold_products(x, ThresholdGrid([u]))
+    _check_threshold_products(x, ThresholdGrid([num], [den]))
     omega = mode == "omega"
 
     def tally(chunk):
@@ -366,7 +363,7 @@ def partial_summation_check(f: MultFunc, x: int, u, **scan_kw):
     u = Fraction(u)
     x = int(x)
     num, den = u.numerator, u.denominator
-    _check_threshold_products(x, ThresholdGrid([u]))
+    _check_threshold_products(x, ThresholdGrid([num], [den]))
 
     def pair(chunk):
         qual = den * chunk.n <= num * chunk.sigma

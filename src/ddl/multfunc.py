@@ -28,7 +28,7 @@ Built-in rules (parameters after the colon):
 Each entry has exactly one rule, vectorized over an array of primes at a
 fixed exponent: ``prime_powers(ps, j)``.  ``at_primes(ps)`` is that rule at
 j = 1, and ``prime_power(p, j)`` is a convenience that calls it on a single
-prime, so the sieve, the Euler products and ``evaluate`` cannot drift apart.
+prime, so the sieve and the Euler products cannot drift apart.
 All are pure; descriptors are immutable and safe to share between threads.
 """
 
@@ -47,8 +47,6 @@ __all__ = [
     "make",
     "parse_spec",
     "restrict_coprime",
-    "evaluate",
-    "trial_factorize",
 ]
 
 # |Re z| and |Im z| cap for the power-twist rules; keeps |f(p^j)| <= 2^8 so
@@ -58,33 +56,6 @@ MAX_POW_PART = 8.0
 
 class CatalogError(ValueError):
     """Unknown catalog id or a parameter out of range."""
-
-
-def trial_factorize(n: int) -> list[tuple[int, int]]:
-    """Factor n >= 1 by trial division; returns [(p, j)] with p ascending."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-    for p in (2, 3):
-        if n % p == 0:
-            j = 0
-            while n % p == 0:
-                n //= p
-                j += 1
-            out.append((p, j))
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            if n % p == 0:
-                j = 0
-                while n % p == 0:
-                    n //= p
-                    j += 1
-                out.append((p, j))
-        d += 6
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 class MultFunc:
@@ -159,14 +130,6 @@ class MultFunc:
 
     def __repr__(self):
         return f"MultFunc({self.spec_string()!r})"
-
-
-def evaluate(f: MultFunc, n: int):
-    """f(n) by trial-division factorization; test-scale helper."""
-    acc = 1
-    for p, j in trial_factorize(int(n)):
-        acc = acc * f.prime_power(p, j)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ ddl.sieve.scan_segments, whose values the sieve tests check against the
 oracles above.  char_function_direct, the per-t Euler product, reads the
 local series from ddl.analytic._level_tables, which the analytic tests check
 against closed forms.  segment_size is not an oracle but the one way tests choose a
-scan layout other than ddl.sieve.SEGMENT_SIZE, and raw_at, value_at,
-raw_counts and densities only read results the library returns.
+scan layout other than ddl.sieve.SEGMENT_SIZE; grid_of, grid_fractions,
+grid_index, raw_at, value_at, raw_counts and densities only build or read
+the grids and results the library takes and returns.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import pytest
 
 import ddl.sieve
 from ddl.analytic import _level_tables
+from ddl.empirical import ThresholdGrid
 from ddl.sieve import scan_segments
 
 
@@ -40,9 +42,32 @@ def segment_size(n: int):
         yield
 
 
+def grid_of(us) -> ThresholdGrid:
+    """The ThresholdGrid of the rationals us (Fractions or ints)."""
+    us = [Fraction(u) for u in us]
+    return ThresholdGrid([u.numerator for u in us], [u.denominator for u in us])
+
+
+def grid_fractions(grid) -> list[Fraction]:
+    """A grid's thresholds as Fractions, in order."""
+    return [Fraction(n, d) for n, d in zip(grid.nums.tolist(), grid.dens.tolist())]
+
+
+def grid_index(grid, u) -> int:
+    """The index of the threshold u in the grid."""
+    return grid_fractions(grid).index(Fraction(u))
+
+
+def grid_arrays_brute(us: list[Fraction]):
+    """(nums, dens, floats) of the Fractions us, which Fraction keeps reduced."""
+    return (np.array([u.numerator for u in us], dtype=np.int64),
+            np.array([u.denominator for u in us], dtype=np.int64),
+            np.array([float(u) for u in us]))
+
+
 def raw_at(est, u):
     """The raw sum of a WeightedCdfEstimate at its grid threshold u."""
-    return est.raw[est.grid.index(u)]
+    return est.raw[grid_index(est.grid, u)]
 
 
 def value_at(est, u):
@@ -111,6 +136,14 @@ def factor_brute(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def evaluate(f, n: int):
+    """f(n) as the product of the catalog's f(p^j) over the factors of factor_brute."""
+    acc = 1
+    for p, j in factor_brute(int(n)):
+        acc = acc * f.prime_power(p, j)
+    return acc
 
 
 def mu_brute(n: int) -> int:

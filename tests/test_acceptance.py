@@ -18,7 +18,7 @@ from ddl.empirical import (ThresholdGrid, equidist_tally, estimate_normalized_cd
                            estimate_weighted_cdf, lattice_circle_cdf,
                            partial_summation_check, smoothed_indicator_mean)
 from ddl.inversion import invert, sup_distance
-from ddl.multfunc import evaluate, make, parse_spec, restrict_coprime
+from ddl.multfunc import make, parse_spec, restrict_coprime
 
 import oracles
 
@@ -282,25 +282,25 @@ def test_09_dtilde_max_jump(spec, est_tau_x7, est_r_x7):
     poles = []
     if spec == "r":
         r = make("r")
-        grid = est.grid
+        fr = oracles.grid_fractions(est.grid)
         S = est.normalizer
         for a in R_POLES:
             k, y = _r_pole(a)
             poles.append(k)
-            r_a = int(evaluate(r, a))
+            r_a = int(oracles.evaluate(r, a))
             rough = estimate_weighted_cdf(restrict_coprime(r, y), X7 // a,
-                                          ThresholdGrid([1])).raw[0].real
+                                          ThresholdGrid([1], [1])).raw[0].real
             share = r_a * rough / S
             limit = r_a / a * oracles.r_rough_euler_product(y)
             rest = 0.0
             if a > 1:
                 inner = estimate_weighted_cdf(restrict_coprime(r, a), X7,
-                                              ThresholdGrid(grid.fractions[k:k + 2]))
+                                              oracles.grid_of(fr[k:k + 2]))
                 rest = float((inner.raw[1] - inner.raw[0]).real) / S
             rough_part = jumps[k] - rest
             ok = rough_part <= share and rest <= 0.05 and abs(share - limit) <= 0.005
             report(f"09 dtilde-pole-{spec}-{a}/{oracles.sigma_brute(a)}", ok,
-                   f"jump on ({grid.fractions[k]}, {grid.fractions[k + 1]}] = {jumps[k]:.4f}: "
+                   f"jump on ({fr[k]}, {fr[k + 1]}] = {jumps[k]:.4f}: "
                    f"rough part {rough_part:.4f} <= {y}-rough share {share:.4f} "
                    f"(Euler product {limit:.4f}, tolerance 0.005), rest {rest:.4f} "
                    "(tolerance 0.05)")
@@ -342,7 +342,7 @@ def test_10_greedy_witnesses():
             ratio = Fraction(m, sig)
             ok = v < ratio <= u
             if m <= 10 ** 6:
-                ok = ok and complex(evaluate(f, m)).real > 0
+                ok = ok and complex(oracles.evaluate(f, m)).real > 0
             report(f"10 witness-{spec}-({v},{u}]", ok,
                    f"m = {m if m < 10**18 else str(m)[:12] + '...'} with m/sigma(m) = "
                    f"{float(ratio):.6f} in ({float(v)}, {float(u)}]")
@@ -370,8 +370,7 @@ def brute_setup():
     grid = ThresholdGrid.default()
     # first qualifying grid index per n is weight-independent
     jmin = np.empty(BRUTE_X + 1, dtype=np.int64)
-    nums = [u.numerator for u in grid]
-    dens = [u.denominator for u in grid]
+    nums, dens = grid.nums.tolist(), grid.dens.tolist()
     for n in range(1, BRUTE_X + 1):
         lo, hi = 0, len(nums)
         s = int(sig[n])
@@ -390,7 +389,7 @@ def test_11_brute_force_equivalence(spec, brute_setup):
     sig, grid, jmin = brute_setup
     f = parse_spec(spec)
     m = len(grid)
-    fv = np.array([complex(evaluate(f, n)) for n in range(1, BRUTE_X + 1)])
+    fv = np.array([complex(oracles.evaluate(f, n)) for n in range(1, BRUTE_X + 1)])
     hist = np.zeros(m + 1, dtype=complex)
     np.add.at(hist, jmin[1:], fv)
     raw_brute = np.cumsum(hist[:m])

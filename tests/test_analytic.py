@@ -11,7 +11,7 @@ import ddl
 from ddl.analytic import (CUMULANT_BUDGET, WitnessNotFound, _level_tables, _policy_tail,
                           char_function, continuity_diagnostic, greedy_witness, halasz_series,
                           mean_value_product, mertens_kappa, wirsing_prediction)
-from ddl.multfunc import evaluate, make
+from ddl.multfunc import make
 from ddl.sieve import primes_up_to
 
 import oracles
@@ -292,7 +292,7 @@ def test_greedy_witness_postcondition_exact():
             for p, _ in fac:
                 sig *= p + 1
             assert v < Fraction(m, sig) <= u
-            assert complex(evaluate(f, m)).real > 0
+            assert complex(oracles.evaluate(f, m)).real > 0
 
 
 def test_greedy_witness_budget_failure():

@@ -291,6 +291,19 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # a modulus whose tally would not fit in memory is refused before allocating
     assert exit_code("equidist", "--mode", "omega", "--q", "100000000000",
                      "--u", "1/2", "--x", "100") == 3
+    # a bad grid or threshold is refused with its own reason, never a traceback,
+    # terms past 64 bits included
+    capsys.readouterr()
+    huge = "1" + "0" * 23
+    for spec, reason in (("1/2,1/3", "strictly increasing"), ("3/2", "outside [0, 1]"),
+                         ("1/2000000", "over the 1000000 cap"),
+                         (f"{int(huge) - 1}/{huge}", "past 64 bits")):
+        assert exit_code("estimate", "--f", "one", "--x", "100", "--grid", spec) == 2
+        assert reason in capsys.readouterr().err
+    assert exit_code("equidist", "--mode", "omega", "--q", "3", "--u", f"1/{huge}",
+                     "--x", "100") == 2
+    assert exit_code("psum-check", "--f", "one", "--u", f"1/{huge}", "--x", "100") == 2
+    assert capsys.readouterr().err.count("past 64 bits") == 2
     # a grid without a threshold u > 0 leaves nothing to compare: refused before the sieve
     def unreachable(*args, **kwargs):
         raise AssertionError("estimate_weighted_cdf called before the grid was checked")

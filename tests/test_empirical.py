@@ -14,7 +14,7 @@ from ddl.empirical import (_BUCKET_CAP, GridError, ThresholdGrid, _bucket_tables
                            estimate_normalized_cdf, estimate_weighted_cdf,
                            lattice_circle_cdf, partial_summation_check,
                            smoothed_indicator_mean)
-from ddl.multfunc import evaluate, make, parse_spec
+from ddl.multfunc import make, parse_spec
 from ddl.sieve import SIEVE_LIMIT, ResourceLimitError
 
 import oracles
@@ -25,25 +25,65 @@ ONE = make("one")
 def test_grid_construction_and_parsing():
     g = ThresholdGrid.default()
     assert len(g) == 201
-    assert g.fractions[0] == 0 and g.fractions[-1] == 1
-    assert Fraction(1, 2) in g.fractions
+    fr = oracles.grid_fractions(g)
+    assert fr[0] == 0 and fr[-1] == 1
+    assert Fraction(1, 2) in fr
     assert np.all(np.diff(g.floats) > 0)
     # reduced fractions
-    assert g.nums[g.index(Fraction(1, 2))] == 1
-    h = ThresholdGrid.parse("half")
-    assert h.fractions == (Fraction(1, 2), Fraction(1))
+    assert g.nums[oracles.grid_index(g, Fraction(1, 2))] == 1
+    assert oracles.grid_fractions(ThresholdGrid.parse("half")) == [Fraction(1, 2), Fraction(1)]
     c = ThresholdGrid.parse("0,3/10,1/2,7/10,1")
     assert len(c) == 5
-    assert ThresholdGrid.parse("steps:4").fractions == (
-        Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    with pytest.raises(GridError):
-        ThresholdGrid([Fraction(1, 2), Fraction(1, 2)])
-    with pytest.raises(GridError):
-        ThresholdGrid([Fraction(3, 2)])
-    with pytest.raises(GridError):
-        ThresholdGrid.parse("junk;;")
-    with pytest.raises(GridError):
-        ThresholdGrid([Fraction(1, 2_000_000)])
+    assert oracles.grid_fractions(ThresholdGrid.parse("steps:4")) == [
+        Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+    # unreduced terms are reduced before the cap and the increase are checked
+    g = ThresholdGrid([2, 6, 2_000_000], [4, 8, 2_000_000])
+    assert g.nums.tolist() == [1, 3, 1] and g.dens.tolist() == [2, 4, 1]
+    with pytest.raises(GridError, match="at least one threshold"):
+        ThresholdGrid([], [])
+    for nums, dens in (([-1], [2]), ([3], [2]), ([1], [0]), ([1], [-2])):
+        with pytest.raises(GridError, match="outside"):
+            ThresholdGrid(nums, dens)
+    with pytest.raises(GridError, match="past 64 bits"):
+        ThresholdGrid([1], [10 ** 23])
+    with pytest.raises(GridError, match="steps must lie"):  # before 10^12 + 1 are built
+        ThresholdGrid.default(10 ** 12)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1/2,1/3", "thresholds must be strictly increasing"),
+    ("1/2,1/2", "thresholds must be strictly increasing"),
+    ("2/4,1/2", "thresholds must be strictly increasing"),
+    ("3/2", "threshold 3/2 outside [0, 1]"),
+    ("0,-1/2", "threshold -1/2 outside [0, 1]"),
+    ("1/2000000", "threshold denominator 2000000 over the 1000000 cap"),
+    ("99999999999999999999999/100000000000000000000000", "threshold terms past 64 bits"),
+    ("junk;;", "cannot parse grid spec 'junk;;'"),
+    ("1/0", "cannot parse grid spec '1/0'"),
+    ("1/2,", "cannot parse grid spec '1/2,'"),
+    ("steps:x", "bad steps spec"),
+    ("steps:0", "steps must lie in [1, 1000000]"),
+])
+def test_grid_errors_keep_their_reason(spec, message):
+    with pytest.raises(GridError) as exc:
+        ThresholdGrid.parse(spec)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("spec", [*(f"steps:{n}" for n in (1, 2, 7, 200, 997, 10 ** 6)),
+                                  "half", "0,3/10,1/2,7/10,1"])
+def test_grid_arrays_match_fraction_reduction(spec):
+    grid = ThresholdGrid.parse(spec)
+    if spec.startswith("steps:"):
+        n = int(spec.split(":")[1])
+        us = [Fraction(k, n) for k in range(n + 1)]
+    else:
+        us = [Fraction(u) for u in (["1/2", "1"] if spec == "half" else spec.split(","))]
+    nums, dens, floats = oracles.grid_arrays_brute(us)
+    assert grid.nums.dtype == grid.dens.dtype == np.int64
+    assert np.array_equal(grid.nums, nums) and np.array_equal(grid.dens, dens)
+    assert np.array_equal(grid.floats, floats)
+    assert np.all(np.gcd(grid.nums, grid.dens) == 1)
 
 
 def test_estimate_trivia():
@@ -90,10 +130,11 @@ def test_estimate_matches_naive_loop(spec, brute_tables):
     with oracles.segment_size(1024):
         est = estimate_weighted_cdf(f, N, grid)
     raw_brute = np.zeros(len(grid), dtype=complex)
+    fr = oracles.grid_fractions(grid)
     for n in range(1, N + 1):
-        k = oracles.brute_first_qualifying(n, int(sig[n]), grid.fractions)
+        k = oracles.brute_first_qualifying(n, int(sig[n]), fr)
         if k < len(grid):
-            raw_brute[k:] += complex(evaluate(f, n))
+            raw_brute[k:] += complex(oracles.evaluate(f, n))
     assert np.allclose(est.raw, raw_brute, rtol=1e-12, atol=1e-9)
 
 
@@ -131,13 +172,13 @@ def tight_grid(sig):
         for b in (999983, 999979):
             a = r.numerator * b // r.denominator
             us.update((Fraction(a, b), Fraction(a + 1, b)))
-    return ThresholdGrid(sorted(us))
+    return oracles.grid_of(sorted(us))
 
 
 def check_bucket_tables(grid, ks):
     # lo[k]: first u_j > (k-1)/D; hi[k]: first u_j >= k/D, from Fractions
     D, lo, hi = _bucket_tables(grid)
-    fr = grid.fractions
+    fr = oracles.grid_fractions(grid)
     for k in ks:
         want_lo = next((j for j, u in enumerate(fr) if u > Fraction(k - 1, D)), len(fr))
         want_hi = next((j for j, u in enumerate(fr) if u >= Fraction(k, D)), len(fr))
@@ -155,11 +196,12 @@ def test_first_qualifying_matches_brute(kind, qual_sigma):
     D, lo, hi = _bucket_tables(grid)
     n = np.arange(1, QUAL_X + 1, dtype=np.int64)
     got = _first_qualifying(n, sig[1:], grid, (D, lo, hi))
-    want = [oracles.brute_first_qualifying(int(v), int(sig[v]), grid.fractions) for v in n]
+    fr = oracles.grid_fractions(grid)
+    want = [oracles.brute_first_qualifying(int(v), int(sig[v]), fr) for v in n]
     assert got.tolist() == want
     for u, ns in TIES.items():
         for v in ns:
-            assert got[v - 1] == grid.index(u)
+            assert got[v - 1] == fr.index(u)
     k = -(-D * n // sig[1:])
     if kind == "lcm":
         assert D == 420 and hi is None  # every threshold on a bucket edge
@@ -171,7 +213,7 @@ def test_first_qualifying_matches_brute(kind, qual_sigma):
         assert np.any(inside & (got > lo[k]) & (got < hi[k]))
         assert np.any(inside & (got == hi[k]))
         assert np.any(inside & (got == lo[k]))
-        edges = {(D * u.numerator) // u.denominator + d for u in grid.fractions for d in (0, 1, 2)}
+        edges = {(D * u.numerator) // u.denominator + d for u in fr for d in (0, 1, 2)}
         check_bucket_tables(grid, sorted(e for e in edges if e <= D))
 
 
@@ -198,11 +240,12 @@ def test_lattice_trivial_and_brute():
     est = lattice_circle_cdf(R, grid)
     sig = oracles.sigma_table_brute(R)
     raw = np.zeros(len(grid), dtype=np.int64)
+    fr = oracles.grid_fractions(grid)
     for x in range(-50, 51):
         for y in range(-50, 51):
             n = x * x + y * y
             if 0 < n <= R:
-                k = oracles.brute_first_qualifying(n, int(sig[n]), grid.fractions)
+                k = oracles.brute_first_qualifying(n, int(sig[n]), fr)
                 if k < len(grid):
                     raw[k:] += 1
     assert np.array_equal(oracles.raw_counts(est), raw)
@@ -343,7 +386,7 @@ def test_raw_counts_independent_of_scan_layout(tmp_path_factory, x, thresholds, 
                                                segment_size, workers, cached):
     # no statistic may depend on segment size, worker count or cache state
     with oracles.segment_size(segment_size):
-        grid = ThresholdGrid(sorted(thresholds))
+        grid = oracles.grid_of(sorted(thresholds))
         cache_dir = None
         if cached:
             cache_dir = tmp_path_factory.mktemp("sigma_cache")
@@ -352,13 +395,14 @@ def test_raw_counts_independent_of_scan_layout(tmp_path_factory, x, thresholds, 
         scan_kw = {"workers": workers, "cache_dir": cache_dir}
         fn = PROPERTY_F[f]
         est = estimate_weighted_cdf(parse_spec(f), x, grid, **scan_kw)
-        first = [oracles.brute_first_qualifying(n, int(PROPERTY_SIGMA[n]), grid.fractions)
+        fr = oracles.grid_fractions(grid)
+        first = [oracles.brute_first_qualifying(n, int(PROPERTY_SIGMA[n]), fr)
                  for n in range(1, x + 1)]
         for j in range(len(grid)):  # exact for the integer-valued f
             assert_sum_close(est.raw[j], [fn(n) for n in range(1, x + 1) if first[n - 1] <= j], 1.0)
 
         # the single-threshold statistics, at the grid's last threshold
-        u = grid.fractions[-1]
+        u = fr[-1]
         qual = [n for n in range(1, x + 1) if oracles.qualifies(n, int(PROPERTY_SIGMA[n]), u)]
         for mode, key in (("omega", lambda n: PROPERTY_OMEGA[n] % q), ("coprime", lambda n: n % q)):
             tally = equidist_tally(mode, q, u, x, **scan_kw)

