@@ -198,8 +198,10 @@ class CharFnProfile:
 
 def _policy_tail(f: MultFunc, ts: np.ndarray, P: int) -> np.ndarray:
     """Truncation tail over p > P: sum_{p>P} |twisted/plain - 1| <=
-    C ((1+|t|)/p^2 + eta mass), with sum_{p>P} p^-2 < 1/P."""
-    return (TAIL_CONSTANT * (1.0 + np.abs(ts)) + f.eta_coeff) / P
+    C ((1+|t|)/p^2 + eta mass), with sum_{p>P} p^-2 < 1/P.  Past the float
+    range near |t| = 1e308 the bound is infinite, which still holds."""
+    with np.errstate(over="ignore"):
+        return (TAIL_CONSTANT * (1.0 + np.abs(ts)) + f.eta_coeff) / P
 
 
 def _exact_product(ts, levels, plain, n0: int) -> np.ndarray:
@@ -277,7 +279,7 @@ def char_function(f: MultFunc, ts, P: int) -> CharFnProfile:
     m_p = np.log(plain)
     eps = CUMULANT_BUDGET / max(float(np.sum(m_p)), 1e-300)
     rho_cut = min(0.5, (eps / 2.0) ** (1.0 / (CUMULANT_MAX_ORDER + 1)))
-    P0 = math.ceil(t_max / (rho_cut * math.log(2.0)))
+    P0 = math.ceil(min(t_max / (rho_cut * math.log(2.0)), P))  # any cut >= P takes every prime
     n0 = int(np.searchsorted(ps, P0, side="right"))
 
     out = _exact_product(ts, levels, plain, n0)
@@ -331,8 +333,8 @@ def halasz_series(f: MultFunc, beta: float, P: int) -> float:
     """
     if not f.unit_disc:
         raise ValueError("the series diagnostic needs |f| <= 1")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, not {beta}")
+    if not math.isfinite(beta * math.log(max(P, 2))):  # the twist needs beta log p finite
+        raise ValueError(f"beta log P must be finite, not beta = {beta} at P = {P}")
     ps = primes_up_to(int(P))
     pf = ps.astype(np.float64)
     fp = f.at_primes(ps).astype(np.complex128)

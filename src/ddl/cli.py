@@ -1,10 +1,14 @@
 """Command-line entry point.
 
-Every subcommand validates its flags, runs a deterministic computation, and
-writes CSV or JSON with a small metadata header (tool version, config echo,
-timestamp and wall time).  Repeated runs with the same flags produce
-identical files except for the generated-at line, which is isolated in the
-metadata.  Exit codes: 0 success, 2 validation error, 3 resource refusal.
+Every subcommand validates its flags, runs a deterministic computation and
+returns its result.  `main` writes that result once, to `--out` or stdout,
+with a small metadata header (tool version, config echo, timestamp and wall
+time): a WeightedCdfEstimate as CSV (or JSON with `--format json`), anything
+else as JSON.  Repeated runs with the same flags produce identical files
+except for the generated-at line, which is isolated in the metadata.
+Exit codes: 0 success, 2 validation error (an `--out` that is a directory
+or lies in a missing one, and a `--gnuplot` without a CSV file, are refused
+before any work), 3 resource refusal.
 """
 
 from __future__ import annotations
@@ -25,15 +29,15 @@ import numpy as np
 from . import __version__
 from .multfunc import CatalogError, catalog_entries, parse_spec
 from .sieve import ResourceLimitError, SieveError, scan_segments, write_segment_cache
-from .empirical import (GridError, ThresholdGrid, equidist_tally,
+from .empirical import (GridError, ThresholdGrid, WeightedCdfEstimate, equidist_tally,
                         estimate_normalized_cdf, estimate_weighted_cdf,
                         lattice_circle_cdf, partial_summation_check,
                         smoothed_indicator_mean)
 from .analytic import (WitnessNotFound, char_function, continuity_diagnostic,
                        greedy_witness, halasz_series, mean_value_product,
                        mertens_kappa, wirsing_prediction)
-from .inversion import (InversionError, _check_matrix_size, _quadrature_grid, _t_nodes,
-                        invert, sup_distance)
+from .inversion import (DEFAULT_STEP, DEFAULT_T, InversionError, _check_matrix_size,
+                        _quadrature_grid, _t_nodes, invert, sup_distance)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -96,8 +100,7 @@ def _meta(args: argparse.Namespace, t0: float) -> dict:
     }
 
 
-def _emit_json(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
     else:
@@ -119,43 +122,46 @@ def _estimate_csv(est, meta: dict) -> str:
     return buf.getvalue()
 
 
-def _emit_estimate(est, args, t0):
+def _check_output(args):
+    """Refuse an output that cannot be written, before any work is done."""
+    if args.out and not Path(args.out).parent.is_dir():
+        raise ValueError(f"--out: directory {Path(args.out).parent} does not exist")
+    if args.out and Path(args.out).is_dir():
+        raise ValueError(f"--out: {args.out} is a directory")
+    if getattr(args, "gnuplot", False) and (args.format == "json" or not args.out):
+        raise ValueError("--gnuplot plots a CSV file: it needs --out and --format csv")
+
+
+def _emit(result, args, t0):
+    """Write a handler's result, with its metadata, to --out or stdout."""
     meta = _meta(args, t0)
-    fmt = getattr(args, "format", "csv")
-    out = getattr(args, "out", None)
-    if fmt == "json":
+    if isinstance(result, WeightedCdfEstimate):
+        if args.format == "csv":
+            _write(_estimate_csv(result, meta), args.out)
+            if args.gnuplot:
+                Path(args.out + ".gp").write_text(
+                    "set datafile separator ','\n"
+                    f"set title 'ddl {result.mode} {result.f_id}'\n"
+                    "set xlabel 'u'\nset ylabel 'value'\n"
+                    f"plot '{args.out}' using ($1/$2):5 with lines title 'value'\n")
+            return
         rows = [{"u_num": num, "u_den": den, "raw_re": r.real, "raw_im": r.imag,
                  "value_re": v.real, "value_im": v.imag}
-                for num, den, r, v in zip(est.grid.nums.tolist(), est.grid.dens.tolist(),
-                                          est.raw, est.values)]
-        _emit_json({"meta": meta, "mode": est.mode, "normalizer": est.normalizer,
-                    "rows": rows}, out)
-    else:
-        text = _estimate_csv(est, meta)
-        if out:
-            Path(out).write_text(text)
-        else:
-            sys.stdout.write(text)
-    if getattr(args, "gnuplot", False) and out:
-        gp = Path(out).with_suffix(Path(out).suffix + ".gp")
-        gp.write_text(
-            "set datafile separator ','\n"
-            f"set title 'ddl {est.mode} {est.f_id}'\n"
-            "set xlabel 'u'\nset ylabel 'value'\n"
-            f"plot '{out}' using ($1/$2):5 with lines title 'value'\n")
+                for num, den, r, v in zip(result.grid.nums.tolist(), result.grid.dens.tolist(),
+                                          result.raw, result.values)]
+        result = {"mode": result.mode, "normalizer": result.normalizer, "rows": rows}
+    _write(json.dumps({**result, "meta": meta}, indent=2, sort_keys=True) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_catalog(args, t0):
-    payload = {"meta": _meta(args, t0), "entries": catalog_entries()}
-    _emit_json(payload, args.out)
-    return EXIT_OK
+def _cmd_catalog(args):
+    return {"entries": catalog_entries()}
 
 
-def _cmd_sieve_cache(args, t0):
+def _cmd_sieve_cache(args):
     cache_dir = args.dir or os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
         raise SieveError(f"no cache directory: pass --dir or set {CACHE_ENV_VAR}")
@@ -163,34 +169,28 @@ def _cmd_sieve_cache(args, t0):
     # sieves every segment: an existing cache is never copied into a new one
     for chunk in scan_segments(args.x, workers=args.workers):
         written.append(str(write_segment_cache(cache_dir, chunk.lo, chunk.hi, chunk.sigma)))
-    _emit_json({"meta": _meta(args, t0), "written": written}, args.out)
-    return EXIT_OK
+    return {"written": written}
 
 
 def _common_kwargs(args):
     return {"workers": args.workers, "cache_dir": os.environ.get(CACHE_ENV_VAR) or None}
 
 
-def _cmd_estimate(args, t0):
+def _cmd_estimate(args):
     f = parse_spec(args.f)
     grid = ThresholdGrid.parse(args.grid)
     fn = estimate_weighted_cdf if args.mode == "df" else estimate_normalized_cdf
-    est = fn(f, args.x, grid, **_common_kwargs(args))
-    _emit_estimate(est, args, t0)
-    return EXIT_OK
+    return fn(f, args.x, grid, **_common_kwargs(args))
 
 
-def _cmd_lattice(args, t0):
+def _cmd_lattice(args):
     grid = ThresholdGrid.parse(args.grid)
-    est = lattice_circle_cdf(args.R, grid, **_common_kwargs(args))
-    _emit_estimate(est, args, t0)
-    return EXIT_OK
+    return lattice_circle_cdf(args.R, grid, **_common_kwargs(args))
 
 
-def _cmd_equidist(args, t0):
+def _cmd_equidist(args):
     tally = equidist_tally(args.mode, args.q, args.u, args.x, **_common_kwargs(args))
-    payload = {
-        "meta": _meta(args, t0),
+    return {
         "mode": tally.mode, "q": tally.q,
         "u": {"num": tally.u.numerator, "den": tally.u.denominator},
         "x": tally.x,
@@ -199,29 +199,23 @@ def _cmd_equidist(args, t0):
         "qualifying_total": tally.qualifying_total,
         "class_sum": int(tally.counts.sum()),
     }
-    _emit_json(payload, args.out)
-    return EXIT_OK
 
 
-def _cmd_smoothed(args, t0):
+def _cmd_smoothed(args):
     f = parse_spec(args.f)
     val = smoothed_indicator_mean(f, args.x, args.u, args.m, **_common_kwargs(args))
-    _emit_json({"meta": _meta(args, t0),
-                "value_re": val.real, "value_im": val.imag}, args.out)
-    return EXIT_OK
+    return {"value_re": val.real, "value_im": val.imag}
 
 
-def _cmd_psum_check(args, t0):
+def _cmd_psum_check(args):
     f = parse_spec(args.f)
     lhs, rhs = partial_summation_check(f, args.x, args.u, **_common_kwargs(args))
-    _emit_json({"meta": _meta(args, t0),
-                "lhs_re": lhs.real, "lhs_im": lhs.imag,
-                "rhs_re": rhs.real, "rhs_im": rhs.imag,
-                "abs_difference": abs(lhs - rhs)}, args.out)
-    return EXIT_OK
+    return {"lhs_re": lhs.real, "lhs_im": lhs.imag,
+            "rhs_re": rhs.real, "rhs_im": rhs.imag,
+            "abs_difference": abs(lhs - rhs)}
 
 
-def _cmd_analytic(args, t0):
+def _cmd_analytic(args):
     f = parse_spec(args.f)
     sub = args.analytic_op
     if sub == "mean":
@@ -253,9 +247,7 @@ def _cmd_analytic(args, t0):
             payload = {"found": True, "m": m}
         except WitnessNotFound as exc:
             payload = {"found": False, "reason": str(exc)}
-    payload["meta"] = _meta(args, t0)
-    _emit_json(payload, args.out)
-    return EXIT_OK
+    return payload
 
 
 def _invert_points(spec: str) -> np.ndarray:
@@ -266,25 +258,22 @@ def _invert_points(spec: str) -> np.ndarray:
     return np.sort(_parse_t_spec(spec))
 
 
-def _cmd_invert(args, t0):
+def _cmd_invert(args):
     f = parse_spec(args.f)
     ts = _quadrature_grid(args.T, args.step)
     points = _invert_points(args.points)
     _check_matrix_size(points.size, ts)  # all refusals come before the product
     inv = invert(char_function(f, ts, args.P), points, T=args.T, step=args.step)
-    payload = {
-        "meta": _meta(args, t0),
+    return {
         "T": inv.T, "step": inv.step, "eps": inv.eps, "P": args.P,
         "isotonic_changed": inv.isotonic_changed,
         "slack_exceeded": inv.slack_exceeded,
         "points": [{"x": float(p), "F": float(v), "raw": float(r)}
                    for p, v, r in zip(inv.points, inv.values, inv.raw)],
     }
-    _emit_json(payload, args.out)
-    return EXIT_OK
 
 
-def _cmd_compare(args, t0):
+def _cmd_compare(args):
     f = parse_spec(args.f)
     grid = ThresholdGrid.parse(args.grid)
     ts = _quadrature_grid(args.T, args.step)
@@ -296,8 +285,7 @@ def _cmd_compare(args, t0):
     prof = char_function(f, ts, args.P)
     inv = invert(prof, logs, T=args.T, step=args.step)
     cmpres = sup_distance(est, inv)
-    payload = {
-        "meta": _meta(args, t0),
+    return {
         "sup_distance": cmpres.sup_distance,
         "at_log_point": cmpres.at_point,
         "budgets": {
@@ -308,17 +296,22 @@ def _cmd_compare(args, t0):
             "max_profile_tail": float(np.max(prof.tail_bounds)),
         },
     }
-    _emit_json(payload, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--workers", type=int, default=1)
+def _command(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
+    """The parser of one subcommand, with the --out that main's writer reads."""
+    p = sub.add_parser(name, **kwargs)
     p.add_argument("--out", default=None, help="output file (stdout when omitted)")
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_workers(p: argparse.ArgumentParser):
+    p.add_argument("--workers", type=int, default=1)
 
 
 _P = ("--P", {"type": _int_arg, "required": True})
@@ -343,102 +336,93 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"ddl {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("catalog", help="list the multiplicative-function catalog")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_catalog)
+    _command(sub, "catalog", _cmd_catalog, help="list the multiplicative-function catalog")
 
-    p = sub.add_parser("sieve-cache", help="precompute binary sigma caches")
+    p = _command(sub, "sieve-cache", _cmd_sieve_cache, help="precompute binary sigma caches")
     p.add_argument("--x", type=_int_arg, required=True)
     p.add_argument("--dir", default=None, help=f"cache directory (default: {CACHE_ENV_VAR})")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sieve_cache)
+    _add_workers(p)
 
-    p = sub.add_parser("estimate", help="weighted distribution of n/sigma(n)")
+    p = _command(sub, "estimate", _cmd_estimate, help="weighted distribution of n/sigma(n)")
     p.add_argument("--f", required=True)
     p.add_argument("--x", type=_int_arg, required=True)
     p.add_argument("--mode", choices=("df", "dtilde"), default="df")
     p.add_argument("--grid", default="default")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--gnuplot", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_estimate)
+    _add_workers(p)
 
-    p = sub.add_parser("lattice", help="two-squares lattice-point distribution")
+    p = _command(sub, "lattice", _cmd_lattice, help="two-squares lattice-point distribution")
     p.add_argument("--R", type=_int_arg, required=True)
     p.add_argument("--grid", default="default")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--gnuplot", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_lattice)
+    _add_workers(p)
 
-    p = sub.add_parser("equidist", help="equidistribution tallies of qualifying n")
+    p = _command(sub, "equidist", _cmd_equidist,
+                 help="equidistribution tallies of qualifying n")
     p.add_argument("--mode", choices=("omega", "coprime"), required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--u", type=_fraction_arg, required=True)
     p.add_argument("--x", type=_int_arg, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_equidist)
+    _add_workers(p)
 
-    p = sub.add_parser("smoothed", help="tent-smoothed indicator mean")
+    p = _command(sub, "smoothed", _cmd_smoothed, help="tent-smoothed indicator mean")
     p.add_argument("--f", required=True)
     p.add_argument("--x", type=_int_arg, required=True)
     p.add_argument("--u", type=_fraction_arg, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_smoothed)
+    _add_workers(p)
 
-    p = sub.add_parser("psum-check", help="partial-summation identity check")
+    p = _command(sub, "psum-check", _cmd_psum_check, help="partial-summation identity check")
     p.add_argument("--f", required=True)
     p.add_argument("--x", type=_int_arg, required=True)
     p.add_argument("--u", type=_fraction_arg, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_psum_check)
+    _add_workers(p)
 
     p = sub.add_parser("analytic", help="Euler products, prime sums, witnesses")
     asub = p.add_subparsers(dest="analytic_op", required=True)
 
     for op, flags in ANALYTIC_FLAGS.items():
-        q = asub.add_parser(op)
+        q = _command(asub, op, _cmd_analytic)
         q.add_argument("--f", required=True)
         for flag, kwargs in flags:
             q.add_argument(flag, **kwargs)
-        q.add_argument("--out", default=None)
-        q.set_defaults(func=_cmd_analytic)
 
-    p = sub.add_parser("invert", help="invert the characteristic-function product")
+    p = _command(sub, "invert", _cmd_invert, help="invert the characteristic-function product")
     p.add_argument("--f", required=True)
     p.add_argument("--P", type=_int_arg, required=True)
-    p.add_argument("--T", type=float, default=200.0)
-    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--T", type=float, default=DEFAULT_T)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.add_argument("--points", default="log-default")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_invert)
 
-    p = sub.add_parser("compare", help="sieve CDF vs. inverted characteristic function")
+    p = _command(sub, "compare", _cmd_compare,
+                 help="sieve CDF vs. inverted characteristic function")
     p.add_argument("--f", required=True)
     p.add_argument("--x", type=_int_arg, required=True)
     p.add_argument("--P", type=_int_arg, required=True)
-    p.add_argument("--T", type=float, default=200.0)
-    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--T", type=float, default=DEFAULT_T)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.add_argument("--grid", default="default")
-    _add_common(p)
-    p.set_defaults(func=_cmd_compare)
+    _add_workers(p)
 
     return ap
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
-        return args.func(args, t0)
+        _check_output(args)
+        result = args.func(args)
     except ResourceLimitError as exc:
         print(f"ddl: resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (CatalogError, GridError, SieveError, InversionError, ValueError) as exc:
         print(f"ddl: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    _emit(result, args, t0)
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -62,17 +62,25 @@ class ThresholdGrid:
     """Strictly increasing reduced rational thresholds u_j = nums[j]/dens[j]
     in [0, 1], held as two int64 arrays, with every dens[j] <= MAX_DENOMINATOR.
     The constructor takes two integer sequences, reduces them by their gcd and
-    raises GridError for a grid that breaks any of these rules."""
+    raises GridError for a grid that breaks any of these rules or has a
+    term that is not an integer."""
 
     __slots__ = ("nums", "dens", "floats")
 
     def __init__(self, nums, dens):
         try:
-            nums = np.array(nums, dtype=np.int64)
-            dens = np.array(dens, dtype=np.int64)
+            with np.errstate(invalid="ignore"):  # a cast of nan or inf is refused below
+                n64 = np.array(nums, dtype=np.int64)
+                d64 = np.array(dens, dtype=np.int64)
+            exact = np.array_equal(n64, nums) and np.array_equal(d64, dens)
         except OverflowError:
             raise GridError(f"threshold terms past 64 bits; need 0 <= num <= den <= "
                             f"{MAX_DENOMINATOR}") from None
+        except (TypeError, ValueError):
+            exact = False
+        if not exact:  # the int64 conversion truncates 1.9 to 1 without a word
+            raise GridError("threshold terms must be integers")
+        nums, dens = n64, d64
         if nums.size == 0:
             raise GridError("grid must contain at least one threshold")
         bad = np.flatnonzero((nums < 0) | (nums > dens) | (dens < 1))

@@ -63,16 +63,45 @@ def test_estimate_csv_schema_and_values(tmp_path):
     assert float(byu[("1", "2")][2]) == below
 
 
-def test_estimate_deterministic_output(tmp_path):
-    out = tmp_path / "a.csv"
-    assert run_cli("estimate", "--f", "tau", "--x", "20000",
-                   "--grid", "steps:10", "--out", str(out)) == 0
-    first = out.read_text()
-    assert run_cli("estimate", "--f", "tau", "--x", "20000",
-                   "--grid", "steps:10", "--out", str(out)) == 0
-    second = out.read_text()
-    assert strip_generated(first) == strip_generated(second)
-    assert first.count("# generated:") == 1
+# one call of every subcommand; "{tmp}" is the test's temporary directory
+EVERY_SUBCOMMAND = {
+    "catalog": ["catalog"],
+    "sieve-cache": ["sieve-cache", "--x", "3000", "--dir", "{tmp}/cache"],
+    "estimate-csv": ["estimate", "--f", "tau", "--x", "20000", "--grid", "steps:10"],
+    "estimate-json": ["estimate", "--f", "r", "--x", "3000", "--mode", "dtilde",
+                      "--format", "json"],
+    "lattice": ["lattice", "--R", "3000", "--grid", "half"],
+    "equidist": ["equidist", "--mode", "coprime", "--q", "4", "--u", "3/5", "--x", "50000"],
+    "smoothed": ["smoothed", "--f", "one", "--x", "3000", "--u", "1/2", "--m", "10"],
+    "psum-check": ["psum-check", "--f", "mu", "--x", "3000", "--u", "1/2"],
+    "analytic-mean": ["analytic", "mean", "--f", "phi_over_n", "--P", "1000"],
+    "analytic-wirsing": ["analytic", "wirsing", "--f", "one", "--x", "3000"],
+    "analytic-psi": ["analytic", "psi", "--f", "one", "--t", "linspace:0,5,11", "--P", "1000"],
+    "analytic-kappa": ["analytic", "kappa", "--f", "tau", "--x", "3000"],
+    "analytic-halasz": ["analytic", "halasz", "--f", "mu", "--beta", "1", "--P", "1000"],
+    "analytic-jumps": ["analytic", "jumps", "--f", "r", "--P", "1000"],
+    "analytic-witness": ["analytic", "witness", "--f", "one", "--v", "2/5", "--u", "1/2"],
+    "invert": ["invert", "--f", "one", "--P", "1000", "--T", "20"],
+    "compare": ["compare", "--f", "one", "--x", "3000", "--P", "1000", "--grid", "steps:20"],
+}
+
+
+@pytest.mark.parametrize("name", EVERY_SUBCOMMAND)
+def test_output_repeatable_with_meta(tmp_path, name):
+    # main writes every output: the same call gives the same file apart from
+    # `generated`, and every JSON output carries the whole metadata header
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in EVERY_SUBCOMMAND[name]]
+    out, texts = tmp_path / "out", []
+    for _ in range(2):
+        assert run_cli(*argv, "--out", str(out)) == 0
+        texts.append(out.read_text())
+    if texts[0].startswith("#"):  # estimate CSV
+        assert strip_generated(texts[0]) == strip_generated(texts[1])
+        assert texts[0].count("# generated:") == 1
+        return
+    first, second = json.loads(texts[0]), json.loads(texts[1])
+    assert drop_generated(first) == drop_generated(second)
+    assert {"tool", "version", "config", "generated"} <= first["meta"].keys()
 
 
 def test_estimate_json_and_gnuplot(tmp_path):
@@ -86,6 +115,11 @@ def test_estimate_json_and_gnuplot(tmp_path):
                    "--format", "json", "--out", str(outj)) == 0
     rows = read_json(outj)["rows"]
     assert rows[-1]["value_re"] == 1.0
+    # a gnuplot script plots a CSV file: JSON and stdout are refused, and nothing is written
+    for cmd in (("estimate", "--f", "one", "--x", "500"), ("lattice", "--R", "500")):
+        assert run_cli(*cmd, "--gnuplot", "--format", "json", "--out", str(outj)) == 2
+        assert run_cli(*cmd, "--gnuplot") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["est.csv", "est.csv.gp", "est.json"]
 
 
 def test_analytic_mean_cli(tmp_path):
@@ -135,16 +169,6 @@ def test_equidist_cli_partition(tmp_path):
     half_raw = [l.split(",") for l in est.read_text().splitlines()
                 if l.startswith("1,2")][0]
     assert int(float(half_raw[2])) == payload["class_sum"]
-
-
-def test_equidist_deterministic(tmp_path):
-    out = tmp_path / "a.json"
-    run_cli("equidist", "--mode", "coprime", "--q", "4", "--u", "3/5",
-            "--x", "50000", "--out", str(out))
-    first = read_json(out)
-    run_cli("equidist", "--mode", "coprime", "--q", "4", "--u", "3/5",
-            "--x", "50000", "--out", str(out))
-    assert drop_generated(first) == drop_generated(read_json(out))
 
 
 def test_smoothed_and_psum_cli(tmp_path):
@@ -283,8 +307,22 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert exit_code("invert", "--f", "one", "--P", "100", "--T", T, "--step", step) == 0
         assert exit_code("compare", "--f", "one", "--x", "1000", "--P", "100",
                          "--T", T, "--step", step) == 0
-    for beta in ("nan", "inf"):
+    for beta in ("nan", "inf", "1e308"):  # 1e308 * log 100 is past the float range
         assert exit_code("analytic", "halasz", "--f", "mu", "--beta", beta, "--P", "100") == 2
+    # a finite t whose cumulant cut is past the float range takes every prime exactly
+    psi = tmp_path / "psi.json"
+    assert exit_code("analytic", "psi", "--f", "one", "--t", "1e308", "--P", "100",
+                     "--out", str(psi)) == 0
+    point = read_json(psi)["points"][0]
+    assert abs(complex(point["re"], point["im"])) <= 1
+    # an --out in a missing directory, or naming one, is refused before the handler runs
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "x.csv")
+    assert exit_code("estimate", "--f", "one", "--x", "100", "--out", missing) == 2
+    assert exit_code("analytic", "mean", "--f", "one", "--P", "100", "--out", missing) == 2
+    assert capsys.readouterr().err.count("does not exist") == 2
+    assert exit_code("catalog", "--out", str(tmp_path)) == 2
+    assert "is a directory" in capsys.readouterr().err
     for spec in ("lfree:l=2.5", "lambda:a=1.5,q=3", "principal_character:q=6.5"):
         assert exit_code("estimate", "--f", spec, "--x", "100") == 2
     assert exit_code("analytic", "mean", "--f", "phi_over_n_pow:re=nan,im=0", "--P", "100") == 2

@@ -46,6 +46,10 @@ def test_grid_construction_and_parsing():
             ThresholdGrid(nums, dens)
     with pytest.raises(GridError, match="past 64 bits"):
         ThresholdGrid([1], [10 ** 23])
+    # an int64 cast would truncate these to the grids {1/2} and {0}
+    for nums, dens in (([1.9], [2.7]), ([0.5], [1])):
+        with pytest.raises(GridError, match="must be integers"):
+            ThresholdGrid(nums, dens)
     with pytest.raises(GridError, match="steps must lie"):  # before 10^12 + 1 are built
         ThresholdGrid.default(10 ** 12)
 
