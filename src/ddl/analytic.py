@@ -189,7 +189,6 @@ def wirsing_prediction(f: MultFunc, x: float, P: int | None = None) -> float:
 class CharFnProfile:
     """Characteristic function of the limiting law of log(n/sigma(n)),
     as the truncated prime product, on a grid of t values."""
-    f_id: str
     ts: np.ndarray
     values: np.ndarray
     tail_bounds: np.ndarray
@@ -302,7 +301,7 @@ def char_function(f: MultFunc, ts, P: int) -> CharFnProfile:
         log_tail = (log_tail + c) * z
     out *= np.exp(log_tail)
     tails = _policy_tail(f, ts, P) + remainder
-    return CharFnProfile(f.spec_string(), ts, out, tails, P)
+    return CharFnProfile(ts, out, tails, P)
 
 
 def mertens_kappa(f: MultFunc, x: float) -> tuple[float, float]:

@@ -36,8 +36,8 @@ from .empirical import (GridError, ThresholdGrid, WeightedCdfEstimate, equidist_
 from .analytic import (WitnessNotFound, char_function, continuity_diagnostic,
                        greedy_witness, halasz_series, mean_value_product,
                        mertens_kappa, wirsing_prediction)
-from .inversion import (DEFAULT_STEP, DEFAULT_T, InversionError, _check_matrix_size,
-                        _quadrature_grid, _t_nodes, invert, sup_distance)
+from .inversion import (DEFAULT_STEP, DEFAULT_T, InversionError, _quadrature_grid,
+                        _t_nodes, invert, sup_distance)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -132,6 +132,18 @@ def _check_output(args):
         raise ValueError("--gnuplot plots a CSV file: it needs --out and --format csv")
 
 
+def _null_non_finite(obj: dict | list):
+    """Set each non-finite float in obj and the dicts and lists it holds to
+    None, which JSON writes as null, as JavaScript's JSON.stringify does:
+    strict JSON has no Infinity or NaN.  In place, as a copy of the payload
+    would add to the process's peak memory."""
+    for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        if isinstance(v, (dict, list)):
+            _null_non_finite(v)
+        elif isinstance(v, float) and not math.isfinite(v):
+            obj[k] = None
+
+
 def _emit(result, args, t0):
     """Write a handler's result, with its metadata, to --out or stdout."""
     meta = _meta(args, t0)
@@ -139,18 +151,21 @@ def _emit(result, args, t0):
         if args.format == "csv":
             _write(_estimate_csv(result, meta), args.out)
             if args.gnuplot:
+                path = args.out.replace("'", "''")  # gnuplot's escape within single quotes
                 Path(args.out + ".gp").write_text(
                     "set datafile separator ','\n"
                     f"set title 'ddl {result.mode} {result.f_id}'\n"
                     "set xlabel 'u'\nset ylabel 'value'\n"
-                    f"plot '{args.out}' using ($1/$2):5 with lines title 'value'\n")
+                    f"plot '{path}' using ($1/$2):5 with lines title 'value'\n")
             return
         rows = [{"u_num": num, "u_den": den, "raw_re": r.real, "raw_im": r.imag,
                  "value_re": v.real, "value_im": v.imag}
                 for num, den, r, v in zip(result.grid.nums.tolist(), result.grid.dens.tolist(),
                                           result.raw, result.values)]
         result = {"mode": result.mode, "normalizer": result.normalizer, "rows": rows}
-    _write(json.dumps({**result, "meta": meta}, indent=2, sort_keys=True) + "\n", args.out)
+    payload = {**result, "meta": meta}
+    _null_non_finite(payload)
+    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -215,197 +230,155 @@ def _cmd_psum_check(args):
             "abs_difference": abs(lhs - rhs)}
 
 
-def _cmd_analytic(args):
+def _op_mean(args):
+    res = mean_value_product(parse_spec(args.f), args.P)
+    return {"value_re": res.value.real, "value_im": res.value.imag,
+            "P": res.P, "tail_bound": res.tail_bound}
+
+
+def _op_wirsing(args):
+    return {"prediction": wirsing_prediction(parse_spec(args.f), args.x, args.P),
+            "x": args.x, "P": args.P}
+
+
+def _op_psi(args):
+    prof = char_function(parse_spec(args.f), _parse_t_spec(args.t), args.P)
+    return {"P": prof.P,
+            "points": [{"t": float(t), "re": v.real, "im": v.imag, "tail_bound": float(b)}
+                       for t, v, b in zip(prof.ts, prof.values, prof.tail_bounds)]}
+
+
+def _op_kappa(args):
     f = parse_spec(args.f)
-    sub = args.analytic_op
-    if sub == "mean":
-        res = mean_value_product(f, args.P)
-        payload = {"value_re": res.value.real, "value_im": res.value.imag,
-                   "P": res.P, "tail_bound": res.tail_bound}
-    elif sub == "wirsing":
-        payload = {"prediction": wirsing_prediction(f, args.x, args.P),
-                   "x": args.x, "P": args.P}
-    elif sub == "psi":
-        ts = _parse_t_spec(args.t)
-        prof = char_function(f, ts, args.P)
-        payload = {"P": prof.P,
-                   "points": [{"t": float(t), "re": v.real, "im": v.imag,
-                               "tail_bound": float(b)}
-                              for t, v, b in zip(prof.ts, prof.values, prof.tail_bounds)]}
-    elif sub == "kappa":
-        weighted, recip = mertens_kappa(f, args.x)
-        payload = {"weighted_logsum_ratio": weighted, "reciprocal_sum": recip,
-                   "claimed_kappa": f.kappa, "x": args.x}
-    elif sub == "halasz":
-        payload = {"series": halasz_series(f, args.beta, args.P),
-                   "beta": args.beta, "P": args.P}
-    elif sub == "jumps":
-        payload = {"diagnostic": continuity_diagnostic(f, args.P), "P": args.P}
-    elif sub == "witness":
-        try:
-            m = greedy_witness(f, args.v, args.u, args.p_cap)
-            payload = {"found": True, "m": m}
-        except WitnessNotFound as exc:
-            payload = {"found": False, "reason": str(exc)}
-    return payload
+    weighted, recip = mertens_kappa(f, args.x)
+    return {"weighted_logsum_ratio": weighted, "reciprocal_sum": recip,
+            "claimed_kappa": f.kappa, "x": args.x}
+
+
+def _op_halasz(args):
+    return {"series": halasz_series(parse_spec(args.f), args.beta, args.P),
+            "beta": args.beta, "P": args.P}
+
+
+def _op_jumps(args):
+    return {"diagnostic": continuity_diagnostic(parse_spec(args.f), args.P), "P": args.P}
+
+
+def _op_witness(args):
+    f = parse_spec(args.f)
+    try:
+        return {"found": True, "m": greedy_witness(f, args.v, args.u, args.p_cap)}
+    except WitnessNotFound as exc:
+        return {"found": False, "reason": str(exc)}
 
 
 def _invert_points(spec: str) -> np.ndarray:
     if spec == "log-default":
-        grid = ThresholdGrid.default()
-        _, logs = grid.log_points()
-        return logs
+        return ThresholdGrid.default().log_points()[1]
     return np.sort(_parse_t_spec(spec))
 
 
 def _cmd_invert(args):
     f = parse_spec(args.f)
-    ts = _quadrature_grid(args.T, args.step)
     points = _invert_points(args.points)
-    _check_matrix_size(points.size, ts)  # all refusals come before the product
+    ts = _quadrature_grid(args.T, args.step, points.size)  # all refusals come before the product
     inv = invert(char_function(f, ts, args.P), points, T=args.T, step=args.step)
-    return {
-        "T": inv.T, "step": inv.step, "eps": inv.eps, "P": args.P,
-        "isotonic_changed": inv.isotonic_changed,
-        "slack_exceeded": inv.slack_exceeded,
-        "points": [{"x": float(p), "F": float(v), "raw": float(r)}
-                   for p, v, r in zip(inv.points, inv.values, inv.raw)],
-    }
+    return {"T": inv.T, "step": inv.step, "eps": inv.eps, "P": args.P,
+            "isotonic_changed": inv.isotonic_changed, "slack_exceeded": inv.slack_exceeded,
+            "points": [{"x": float(p), "F": float(v), "raw": float(r)}
+                       for p, v, r in zip(inv.points, inv.values, inv.raw)]}
 
 
 def _cmd_compare(args):
     f = parse_spec(args.f)
     grid = ThresholdGrid.parse(args.grid)
-    ts = _quadrature_grid(args.T, args.step)
     _, logs = grid.log_points()
+    ts = _quadrature_grid(args.T, args.step, logs.size)  # all refusals come before the sieve runs
     if logs.size == 0:
         raise GridError("compare needs a grid with a threshold u > 0")
-    _check_matrix_size(logs.size, ts)  # all refusals come before the sieve runs
     est = estimate_weighted_cdf(f, args.x, grid, **_common_kwargs(args))
     prof = char_function(f, ts, args.P)
     inv = invert(prof, logs, T=args.T, step=args.step)
     cmpres = sup_distance(est, inv)
-    return {
-        "sup_distance": cmpres.sup_distance,
-        "at_log_point": cmpres.at_point,
-        "budgets": {
-            "empirical_x": cmpres.empirical_x,
-            "inverted_eps": cmpres.inverted_eps,
-            "T": cmpres.T, "step": cmpres.step,
-            "profile_P": args.P,
-            "max_profile_tail": float(np.max(prof.tail_bounds)),
-        },
-    }
+    budgets = {"empirical_x": cmpres.empirical_x, "inverted_eps": cmpres.inverted_eps,
+               "T": cmpres.T, "step": cmpres.step, "profile_P": args.P,
+               "max_profile_tail": float(np.max(prof.tail_bounds))}
+    return {"sup_distance": cmpres.sup_distance, "at_log_point": cmpres.at_point,
+            "budgets": budgets}
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _command(sub, name: str, func, **kwargs) -> argparse.ArgumentParser:
-    """The parser of one subcommand, with the --out that main's writer reads."""
-    p = sub.add_parser(name, **kwargs)
-    p.add_argument("--out", default=None, help="output file (stdout when omitted)")
-    p.set_defaults(func=func)
-    return p
-
-
-def _add_workers(p: argparse.ArgumentParser):
-    p.add_argument("--workers", type=int, default=1)
-
-
-_P = ("--P", {"type": _int_arg, "required": True})
+# flag specs that several subcommands share
+_F = ("--f", {"required": True})
 _X = ("--x", {"type": _int_arg, "required": True})
+_P = ("--P", {"type": _int_arg, "required": True})
+_U = ("--u", {"type": _fraction_arg, "required": True})
+_GRID = ("--grid", {"default": "default"})
+_WORKERS = ("--workers", {"type": int, "default": 1})
+_PLOT = (("--format", {"choices": ("csv", "json"), "default": "csv"}),
+         ("--gnuplot", {"action": "store_true"}))
+_QUADRATURE = (("--T", {"type": float, "default": DEFAULT_T}),
+               ("--step", {"type": float, "default": DEFAULT_STEP}))
 
-# analytic op -> its flags besides --f and --out
-ANALYTIC_FLAGS = {
-    "mean": (_P,),
-    "wirsing": (_X, ("--P", {"type": _int_arg, "default": None})),
-    "psi": (("--t", {"required": True, "help": "comma list or linspace:a,b,n"}), _P),
-    "kappa": (_X,),
-    "halasz": (("--beta", {"type": float, "required": True}), _P),
-    "jumps": (_P,),
-    "witness": (("--v", {"type": _fraction_arg, "required": True}),
-                ("--u", {"type": _fraction_arg, "required": True}),
-                ("--p-cap", {"dest": "p_cap", "type": _int_arg, "default": 100_000})),
+# subcommand -> (handler, help, flags), in help order.  Each parser gets the
+# --out that main's writer reads, then its own flags.  A table in place of a
+# handler is a level of subcommands, whose choice lands in "<name>_op"; the
+# analytic ops have no help line.
+COMMANDS = {
+    "catalog": (_cmd_catalog, "list the multiplicative-function catalog", ()),
+    "sieve-cache": (_cmd_sieve_cache, "precompute binary sigma caches",
+                    (_X, ("--dir", {"help": f"cache directory (default: {CACHE_ENV_VAR})"}),
+                     _WORKERS)),
+    "estimate": (_cmd_estimate, "weighted distribution of n/sigma(n)",
+                 (_F, _X, ("--mode", {"choices": ("df", "dtilde"), "default": "df"}),
+                  _GRID, *_PLOT, _WORKERS)),
+    "lattice": (_cmd_lattice, "two-squares lattice-point distribution",
+                (("--R", {"type": _int_arg, "required": True}), _GRID, *_PLOT, _WORKERS)),
+    "equidist": (_cmd_equidist, "equidistribution tallies of qualifying n",
+                 (("--mode", {"choices": ("omega", "coprime"), "required": True}),
+                  ("--q", {"type": int, "required": True}), _U, _X, _WORKERS)),
+    "smoothed": (_cmd_smoothed, "tent-smoothed indicator mean",
+                 (_F, _X, _U, ("--m", {"type": int, "required": True}), _WORKERS)),
+    "psum-check": (_cmd_psum_check, "partial-summation identity check",
+                   (_F, _X, _U, _WORKERS)),
+    "analytic": ({
+        "mean": (_op_mean, None, (_F, _P)),
+        "wirsing": (_op_wirsing, None, (_F, _X, ("--P", {"type": _int_arg, "default": None}))),
+        "psi": (_op_psi, None,
+                (_F, ("--t", {"required": True, "help": "comma list or linspace:a,b,n"}), _P)),
+        "kappa": (_op_kappa, None, (_F, _X)),
+        "halasz": (_op_halasz, None, (_F, ("--beta", {"type": float, "required": True}), _P)),
+        "jumps": (_op_jumps, None, (_F, _P)),
+        "witness": (_op_witness, None,
+                    (_F, ("--v", {"type": _fraction_arg, "required": True}), _U,
+                     ("--p-cap", {"type": _int_arg, "default": 100_000}))),
+    }, "Euler products, prime sums, witnesses", ()),
+    "invert": (_cmd_invert, "invert the characteristic-function product",
+               (_F, _P, *_QUADRATURE, ("--points", {"default": "log-default"}))),
+    "compare": (_cmd_compare, "sieve CDF vs. inverted characteristic function",
+                (_F, _X, _P, *_QUADRATURE, _GRID, _WORKERS)),
 }
+
+
+def _add_commands(sub, table: dict):
+    for name, (handler, help_, flags) in table.items():
+        p = sub.add_parser(name, **({} if help_ is None else {"help": help_}))
+        if isinstance(handler, dict):
+            _add_commands(p.add_subparsers(dest=f"{name}_op", required=True), handler)
+            continue
+        p.add_argument("--out", default=None, help="output file (stdout when omitted)")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ddl", description=__doc__)
     ap.add_argument("--version", action="version", version=f"ddl {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    _command(sub, "catalog", _cmd_catalog, help="list the multiplicative-function catalog")
-
-    p = _command(sub, "sieve-cache", _cmd_sieve_cache, help="precompute binary sigma caches")
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--dir", default=None, help=f"cache directory (default: {CACHE_ENV_VAR})")
-    _add_workers(p)
-
-    p = _command(sub, "estimate", _cmd_estimate, help="weighted distribution of n/sigma(n)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--mode", choices=("df", "dtilde"), default="df")
-    p.add_argument("--grid", default="default")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--gnuplot", action="store_true")
-    _add_workers(p)
-
-    p = _command(sub, "lattice", _cmd_lattice, help="two-squares lattice-point distribution")
-    p.add_argument("--R", type=_int_arg, required=True)
-    p.add_argument("--grid", default="default")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--gnuplot", action="store_true")
-    _add_workers(p)
-
-    p = _command(sub, "equidist", _cmd_equidist,
-                 help="equidistribution tallies of qualifying n")
-    p.add_argument("--mode", choices=("omega", "coprime"), required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--u", type=_fraction_arg, required=True)
-    p.add_argument("--x", type=_int_arg, required=True)
-    _add_workers(p)
-
-    p = _command(sub, "smoothed", _cmd_smoothed, help="tent-smoothed indicator mean")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--u", type=_fraction_arg, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_workers(p)
-
-    p = _command(sub, "psum-check", _cmd_psum_check, help="partial-summation identity check")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--u", type=_fraction_arg, required=True)
-    _add_workers(p)
-
-    p = sub.add_parser("analytic", help="Euler products, prime sums, witnesses")
-    asub = p.add_subparsers(dest="analytic_op", required=True)
-
-    for op, flags in ANALYTIC_FLAGS.items():
-        q = _command(asub, op, _cmd_analytic)
-        q.add_argument("--f", required=True)
-        for flag, kwargs in flags:
-            q.add_argument(flag, **kwargs)
-
-    p = _command(sub, "invert", _cmd_invert, help="invert the characteristic-function product")
-    p.add_argument("--f", required=True)
-    p.add_argument("--P", type=_int_arg, required=True)
-    p.add_argument("--T", type=float, default=DEFAULT_T)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--points", default="log-default")
-
-    p = _command(sub, "compare", _cmd_compare,
-                 help="sieve CDF vs. inverted characteristic function")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--P", type=_int_arg, required=True)
-    p.add_argument("--T", type=float, default=DEFAULT_T)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--grid", default="default")
-    _add_workers(p)
-
+    _add_commands(ap.add_subparsers(dest="command", required=True), COMMANDS)
     return ap
 
 

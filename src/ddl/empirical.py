@@ -140,6 +140,15 @@ def _check_threshold_products(x: int, grid: ThresholdGrid):
             f"threshold products for x = {x} would overflow 64-bit integers")
 
 
+def _qualifies(u, x: int):
+    """The one-threshold test n/sigma(n) <= u, as a function from a scan chunk
+    to its mask, in exact int64 products; refused as a grid {u} would be,
+    and when those products could overflow for n <= x."""
+    num, den = Fraction(u).as_integer_ratio()
+    _check_threshold_products(x, ThresholdGrid([num], [den]))
+    return lambda chunk: den * chunk.n <= num * chunk.sigma
+
+
 def _bucket_tables(grid: ThresholdGrid):
     """(D, lo, hi) with D = min(lcm of the denominators, _BUCKET_CAP), lo[k]
     the first index j with u_j > (k-1)/D and hi[k] the first with
@@ -349,13 +358,12 @@ def equidist_tally(mode: str, q: int, u, x: int, **scan_kw) -> EquidistTally:
         raise ResourceLimitError(f"q = {q} over the {MAX_DENOMINATOR} cap")
     u = Fraction(u)
     x = int(x)
-    num, den = u.numerator, u.denominator
-    _check_threshold_products(x, ThresholdGrid([num], [den]))
+    qualifies = _qualifies(u, x)
     omega = mode == "omega"
 
     def tally(chunk):
         # every residue is tallied; the coprime ones are picked out below
-        qual = den * chunk.n <= num * chunk.sigma
+        qual = qualifies(chunk)
         key = chunk.omega[qual].astype(np.int64) if omega else chunk.n[qual]
         return _weighted_sum(chunk.fvals, bins=key % q, m=q)
     counts = _scan_sum(x, tally, with_omega=omega, **scan_kw)
@@ -368,13 +376,11 @@ def partial_summation_check(f: MultFunc, x: int, u, **scan_kw):
     rhs = (1/x) sum_{qualifying} f(n), from the same pass.  In the limit
     lhs -> rhs, which is the partial-summation identity for the n-weighted
     sums (both sides tend to the same distribution value)."""
-    u = Fraction(u)
     x = int(x)
-    num, den = u.numerator, u.denominator
-    _check_threshold_products(x, ThresholdGrid([num], [den]))
+    qualifies = _qualifies(u, x)
 
     def pair(chunk):
-        qual = den * chunk.n <= num * chunk.sigma
+        qual = qualifies(chunk)
         nq = chunk.n[qual].astype(np.float64)
         return np.array([_weighted_sum(chunk.fvals, nq, sel=qual),
                          _weighted_sum(chunk.fvals, sel=qual)])

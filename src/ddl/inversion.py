@@ -79,24 +79,23 @@ def _t_nodes(count: int) -> int:
     return count
 
 
-def _quadrature_grid(T: float, step: float) -> np.ndarray:
-    """The t grid the quadrature runs on: k*step for k = 0..floor(T/step)."""
+def _quadrature_grid(T: float, step: float, n_points: int) -> np.ndarray:
+    """The t grid the quadrature runs on, k*step for k = 0..floor(T/step).
+    An inversion at n_points points whose two real (points x positive nodes)
+    float64 matrices would pass SIGMA_TABLE_BUDGET_BYTES is refused before
+    the grid or either matrix is built."""
     if not (step > 0 and math.isfinite(T / step)):
         raise InversionError("T and step must be finite, with step > 0")
     m = int(math.floor(T / step + 1e-9))
     if m < 3:
         raise InversionError("T / step leaves too few quadrature nodes")
-    return step * np.arange(_t_nodes(m + 1))
-
-
-def _check_matrix_size(n_points: int, grid: np.ndarray):
-    """Refuse an inversion whose two real (points x positive nodes) float64
-    matrices would pass SIGMA_TABLE_BUDGET_BYTES, before either is built."""
-    need = 16 * n_points * (grid.size - 1)
+    nodes = _t_nodes(m + 1)
+    need = 16 * n_points * m
     if need > SIGMA_TABLE_BUDGET_BYTES:
         raise ResourceLimitError(
-            f"inverting at {n_points} points over {grid.size - 1} nodes needs "
+            f"inverting at {n_points} points over {m} nodes needs "
             f"{need / 1e9:.1f} GB, over the {SIGMA_TABLE_BUDGET_BYTES / 1e9:.1f} GB budget")
+    return step * np.arange(nodes)
 
 
 def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
@@ -105,8 +104,7 @@ def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
     points = np.atleast_1d(np.asarray(points, dtype=np.float64))
     if points.size > 1 and not np.all(np.diff(points) > 0):
         raise InversionError("evaluation points must be strictly increasing")
-    grid = _quadrature_grid(T, step)
-    _check_matrix_size(points.size, grid)
+    grid = _quadrature_grid(T, step, points.size)
     ts = np.asarray(profile.ts, dtype=np.float64)[:grid.size]
     if ts.size < grid.size or np.any(np.abs(ts - grid) > 1e-9 * max(T, 1.0)):
         raise InversionError(f"profile grid must begin k*{step:g} for k = 0..{grid.size - 1}")

@@ -46,7 +46,6 @@ __all__ = [
     "catalog_entries",
     "make",
     "parse_spec",
-    "restrict_coprime",
 ]
 
 # |Re z| and |Im z| cap for the power-twist rules; keeps |f(p^j)| <= 2^8 so
@@ -421,25 +420,3 @@ def parse_spec(spec: str) -> MultFunc:
     else:
         cid, params = spec, {}
     return make(cid, **params)
-
-
-# ---------------------------------------------------------------------------
-# derived descriptors
-# ---------------------------------------------------------------------------
-
-def restrict_coprime(f: MultFunc, y: float) -> MultFunc:
-    """Kill all prime factors p <= y: a_y(n) = f(n) * [gcd(n, prod_{p<=y} p) = 1]."""
-    y = float(y)
-    if y < 2:
-        raise ValueError("coprimality cut y must be >= 2")
-
-    def vector(ps, j):
-        return np.where(ps <= y, 0, f.prime_powers(ps, j))
-
-    return MultFunc(
-        f"{f.id}~coprime>{y:g}", f.params, vector,
-        nonneg=f.nonneg, unit_disc=f.unit_disc,
-        complex_valued=f.complex_valued, kappa=f.kappa,
-        mean_value_ok=f.mean_value_ok, eta_coeff=f.eta_coeff,
-        prime_dev_coeff=f.prime_dev_coeff,
-    )

@@ -208,7 +208,6 @@ def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
             if want_omega:
                 om[s1::p] += 1
             q = p * p
-            pw = p * p
             j = 2
             while q <= hi:
                 se = (-lo) % q
@@ -217,14 +216,13 @@ def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
                 k0 = (se - s1) // p
                 st = q // p
                 if need_sigma:
-                    geo[k0::st] += pw
+                    geo[k0::st] += q
                 if fdesc is not None:
                     fp[k0::st] = fpow[j - 1][i]
                 rem[se::q] //= p
                 if want_omega:
                     om[se::q] += 1
                 q *= p
-                pw *= p
                 j += 1
             if need_sigma:
                 sigma[s1::p] *= geo

@@ -12,7 +12,8 @@ local series from ddl.analytic._level_tables, which the analytic tests check
 against closed forms.  segment_size is not an oracle but the one way tests choose a
 scan layout other than ddl.sieve.SEGMENT_SIZE; grid_of, grid_fractions,
 grid_index, raw_at, value_at, raw_counts and densities only build or read
-the grids and results the library takes and returns.
+the grids and results the library takes and returns, and restrict_coprime
+builds a weight for the library to sieve.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import pytest
 import ddl.sieve
 from ddl.analytic import _level_tables
 from ddl.empirical import ThresholdGrid
+from ddl.multfunc import MultFunc
 from ddl.sieve import scan_segments
 
 
@@ -232,6 +234,24 @@ def brute_first_qualifying(n: int, sigma_n: int, grid_fracs) -> int:
         if qualifies(n, sigma_n, u):
             return k
     return len(grid_fracs)
+
+
+def restrict_coprime(f: MultFunc, y: float) -> MultFunc:
+    """Kill all prime factors p <= y: a_y(n) = f(n) * [gcd(n, prod_{p<=y} p) = 1]."""
+    y = float(y)
+    if y < 2:
+        raise ValueError("coprimality cut y must be >= 2")
+
+    def vector(ps, j):
+        return np.where(ps <= y, 0, f.prime_powers(ps, j))
+
+    return MultFunc(
+        f"{f.id}~coprime>{y:g}", f.params, vector,
+        nonneg=f.nonneg, unit_disc=f.unit_disc,
+        complex_valued=f.complex_valued, kappa=f.kappa,
+        mean_value_ok=f.mean_value_ok, eta_coeff=f.eta_coeff,
+        prime_dev_coeff=f.prime_dev_coeff,
+    )
 
 
 def r_rough_euler_product(y: int) -> float:

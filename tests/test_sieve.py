@@ -5,7 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from ddl.multfunc import catalog_ids, make, parse_spec, restrict_coprime
+from ddl.multfunc import catalog_ids, make, parse_spec
 from ddl.sieve import (ResourceLimitError, SEGMENT_SIZE, SIEVE_LIMIT, SieveError,
                        _prime_power_table, _segment_tables, primes_up_to, read_segment_cache,
                        scan_segments, sigma_table, write_segment_cache)
@@ -214,7 +214,7 @@ CATALOG_PARAMS = {
 }
 CATALOG_SCAN = [*(parse_spec(spec) for cid in catalog_ids()
                   for spec in CATALOG_PARAMS.get(cid, [cid])),
-                restrict_coprime(make("sigma_over_n"), 5)]
+                oracles.restrict_coprime(make("sigma_over_n"), 5)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
