@@ -27,8 +27,10 @@ at most CUMULANT_BUDGET = 1e-13, is added to the profile's tail bounds.
 Products are accumulated in log space: each local factor tends to 1, so the
 sum of principal-branch logarithms is well conditioned and cannot underflow.
 
-All products share one table of these series, built by ``_level_tables``
-one level j at a time over every prime at once.  The truncation rule lives
+Every op is a reduction over the primes up to P, which ``sieve.prime_segments``
+hands out one segment at a time, so memory stays that of one segment at any
+P.  ``_level_tables`` gives each segment's table of these series, built one
+level j at a time over the segment's primes.  The truncation rule lives
 in ``_level_bound``: prime p is kept at level j >= 3 only while
 p^(j-2) <= 2^40, so the series at p has J(p) = floor(40 / log2 p) + 2
 terms and its local truncation is at the 1e-12 level uniformly in p; terms
@@ -45,7 +47,8 @@ from fractions import Fraction
 import numpy as np
 
 from .multfunc import MultFunc
-from .sieve import primes_up_to
+from . import sieve
+from .sieve import prime_segments
 
 __all__ = [
     "EulerProductValue",
@@ -96,17 +99,15 @@ def _level_bound(P: int, j: int) -> int:
     return int(bound)
 
 
-def _level_tables(f: MultFunc, P: int):
-    """Per-level arrays over the primes <= P.
+def _levels(f: MultFunc, ps: np.ndarray, P: int):
+    """Per-level arrays over ps, an ascending run of the primes <= P.
 
-    Returns (ps, levels, plain) where levels is a list of (count, weights,
-    logratio) for j = 1, 2, ... restricted to the prime prefix active at that
+    Returns (levels, plain) where levels is a list of (count, weights,
+    logratio) for j = 1, 2, ... restricted to the prefix of ps active at that
     level, weights[p] = f(p^j)/p^j and logratio[p] = log(p^j / sigma(p^j));
-    plain[p] = 1 + sum_j weights, accumulated in the same level order.
+    plain[p] = 1 + sum_j weights, accumulated in the same level order.  Every
+    value depends on p and P only, not on the rest of ps.
     """
-    ps = primes_up_to(P)
-    if ps.size == 0:
-        raise ValueError("prime bound P must be >= 2")
     pinv = 1.0 / ps
     # s_j = sum_{i<=j} p^-i, so sigma(p^j)/p^j = 1 + s_j.  log1p(s_j) is good
     # to 1e-16 relative; the log of the closed form (1 - p^-(j+1)) / (1 - 1/p),
@@ -116,7 +117,7 @@ def _level_tables(f: MultFunc, P: int):
     levels = []
     j = 1
     while True:
-        bound = _level_bound(int(P), j)
+        bound = _level_bound(P, j)
         cnt = int(np.searchsorted(ps, bound, side="right"))
         if cnt == 0:
             break
@@ -128,7 +129,16 @@ def _level_tables(f: MultFunc, P: int):
         levels.append((cnt, w, lr))
         plain[:cnt] += w
         j += 1
-    return ps, levels, plain
+    return levels, plain
+
+
+def _level_tables(f: MultFunc, P: int):
+    """(ps, levels, plain) per segment of the primes <= P, in ascending order
+    (see _levels); a segment may hold no prime."""
+    P = int(P)
+    if P < 2:
+        raise ValueError("prime bound P must be >= 2")
+    return ((ps, *_levels(f, ps, P)) for ps in prime_segments(P))
 
 
 @dataclass(frozen=True)
@@ -156,15 +166,17 @@ def mean_value_product(f: MultFunc, P: int) -> EulerProductValue:
             f"{f.id} fails the mean-value product hypotheses; "
             "its mean value is not given by the Euler product")
     P = int(P)
-    ps, _, plain = _level_tables(f, P)
-    factors = (1.0 - 1.0 / ps.astype(np.float64)) * plain
-    if np.any(np.abs(factors) < 1e-300):
-        value = 0.0 + 0.0j
-    elif factors.dtype == np.float64 and np.all(factors > 0):
-        value = np.exp(np.sum(np.log(factors)))  # no complex128 copy for a positive real f
-    else:
-        value = np.exp(np.sum(np.log(factors.astype(np.complex128))))
-    return EulerProductValue(complex(value), P, _product_tail(f, P))
+    tail = _product_tail(f, P)
+    log_value = 0.0
+    for ps, _, plain in _level_tables(f, P):
+        factors = (1.0 - 1.0 / ps.astype(np.float64)) * plain
+        if np.any(np.abs(factors) < 1e-300):
+            return EulerProductValue(0j, P, tail)
+        if factors.dtype == np.float64 and np.all(factors > 0):
+            log_value += np.sum(np.log(factors))  # no complex128 copy for a positive real f
+        else:
+            log_value += np.sum(np.log(factors.astype(np.complex128)))
+    return EulerProductValue(complex(np.exp(log_value)), P, tail)
 
 
 def wirsing_prediction(f: MultFunc, x: float, P: int | None = None) -> float:
@@ -178,8 +190,8 @@ def wirsing_prediction(f: MultFunc, x: float, P: int | None = None) -> float:
     if x < 10:
         raise ValueError("x too small for the asymptotic to be meaningful")
     bound = int(min(P, x)) if P is not None else int(x)
-    _, _, plain = _level_tables(f, bound)
-    log_prod = float(np.sum(np.log(plain.real)))
+    log_prod = sum(float(np.sum(np.log(plain.real)))
+                   for _, _, plain in _level_tables(f, bound))
     kappa = f.kappa
     const = math.exp(-EULER_GAMMA * kappa) / math.gamma(kappa)
     return const * x / math.log(x) * math.exp(log_prod)
@@ -271,30 +283,41 @@ def char_function(f: MultFunc, ts, P: int) -> CharFnProfile:
     if not np.all(np.isfinite(ts)):
         raise ValueError("t values must be finite")
     P = int(P)
-    ps, levels, plain = _level_tables(f, P)
     t_max = float(np.max(np.abs(ts), initial=0.0))
+    # eps needs sum_p M_p over every prime <= P before any K is chosen, so a
+    # first pass over the stream sums it.  When the primes fit one segment,
+    # as for invert and compare at P <= 2^21, the table is built once and
+    # kept for the second pass.
+    kept = list(_level_tables(f, P)) if (P + 1) // 2 <= sieve.SEGMENT_SIZE else None
+    m_sum = sum(float(np.sum(np.log(plain))) for _, _, plain in kept or _level_tables(f, P))
     # per-prime share of the budget: sum_p M_p eps <= CUMULANT_BUDGET, and
     # q^(K+1)/(1-q) <= eps for q <= rho_cut at K = CUMULANT_MAX_ORDER
-    m_p = np.log(plain)
-    eps = CUMULANT_BUDGET / max(float(np.sum(m_p)), 1e-300)
+    eps = CUMULANT_BUDGET / max(m_sum, 1e-300)
     rho_cut = min(0.5, (eps / 2.0) ** (1.0 / (CUMULANT_MAX_ORDER + 1)))
     P0 = math.ceil(min(t_max / (rho_cut * math.log(2.0)), P))  # any cut >= P takes every prime
-    n0 = int(np.searchsorted(ps, P0, side="right"))
 
-    out = _exact_product(ts, levels, plain, n0)
+    out = None
     series = np.zeros(CUMULANT_MAX_ORDER + 1)  # series[k] = c_k
     remainder = np.zeros(ts.size)
-    for a in range(n0, ps.size, CUMULANT_CHUNK):
-        b = min(a + CUMULANT_CHUNK, ps.size)
-        r_min = (float(ps[a]) - 1.0) * math.log(2.0)  # R_p of the chunk's first prime
-        rho = t_max / r_min
-        if rho == 0.0:
-            continue
-        K = max(0, min(CUMULANT_MAX_ORDER,
-                       math.ceil(math.log(eps * (1.0 - rho)) / math.log(rho)) - 1))
-        series[1:K + 1] += _chunk_log_series(levels, plain, a, b, K)
-        q = np.abs(ts) / r_min
-        remainder += float(np.sum(m_p[a:b])) * q ** (K + 1) / (1.0 - q)
+    for ps, levels, plain in kept or _level_tables(f, P):
+        n0 = int(np.searchsorted(ps, P0, side="right"))
+        if out is None:
+            out = _exact_product(ts, levels, plain, n0)
+        elif n0:
+            out *= _exact_product(ts, levels, plain, n0)
+        m_p = np.log(plain)
+        # chunks of CUMULANT_CHUNK primes run from the cut to the segment's end
+        for a in range(n0, ps.size, CUMULANT_CHUNK):
+            b = min(a + CUMULANT_CHUNK, ps.size)
+            r_min = (float(ps[a]) - 1.0) * math.log(2.0)  # R_p of the chunk's first prime
+            rho = t_max / r_min
+            if rho == 0.0:
+                continue
+            K = max(0, min(CUMULANT_MAX_ORDER,
+                           math.ceil(math.log(eps * (1.0 - rho)) / math.log(rho)) - 1))
+            series[1:K + 1] += _chunk_log_series(levels, plain, a, b, K)
+            q = np.abs(ts) / r_min
+            remainder += float(np.sum(m_p[a:b])) * q ** (K + 1) / (1.0 - q)
     log_tail = np.zeros(ts.size, dtype=np.complex128)
     z = 1j * ts
     for c in series[:0:-1]:  # Horner, ending on a factor z: exactly 0 at t = 0
@@ -313,14 +336,15 @@ def mertens_kappa(f: MultFunc, x: float) -> tuple[float, float]:
     x = int(x)
     if x < 10:
         raise ValueError("x must be >= 10")
-    ps = primes_up_to(x)
-    pf = ps.astype(np.float64)
-    fp = f.at_primes(ps)
-    if not f.complex_valued:
-        fp = fp.real
-    weighted = float(np.sum(fp * np.log(pf) / pf).real) / math.log(x)
-    recip = float(np.sum(fp / pf).real)
-    return weighted, recip
+    weighted = recip = 0.0
+    for ps in prime_segments(x):
+        pf = ps.astype(np.float64)
+        fp = f.at_primes(ps)
+        if not f.complex_valued:
+            fp = fp.real
+        weighted += np.sum(fp * np.log(pf) / pf)
+        recip += np.sum(fp / pf)
+    return float(weighted.real) / math.log(x), float(recip.real)
 
 
 def halasz_series(f: MultFunc, beta: float, P: int) -> float:
@@ -334,14 +358,16 @@ def halasz_series(f: MultFunc, beta: float, P: int) -> float:
         raise ValueError("the series diagnostic needs |f| <= 1")
     if not math.isfinite(beta * math.log(max(P, 2))):  # the twist needs beta log p finite
         raise ValueError(f"beta log P must be finite, not beta = {beta} at P = {P}")
-    ps = primes_up_to(int(P))
-    pf = ps.astype(np.float64)
-    fp = f.at_primes(ps).astype(np.complex128)
-    if beta == 0.0:
-        twist = fp
-    else:
-        twist = fp * np.exp(-1j * beta * np.log(pf))
-    return float(np.sum((1.0 - twist.real) / pf))
+    total = 0.0
+    for ps in prime_segments(int(P)):
+        pf = ps.astype(np.float64)
+        fp = f.at_primes(ps).astype(np.complex128)
+        if beta == 0.0:
+            twist = fp
+        else:
+            twist = fp * np.exp(-1j * beta * np.log(pf))
+        total += float(np.sum((1.0 - twist.real) / pf))
+    return total
 
 
 def continuity_diagnostic(f: MultFunc, P: int) -> float:
@@ -356,12 +382,13 @@ def continuity_diagnostic(f: MultFunc, P: int) -> float:
     P = int(P)
     if P < 2:
         return 0.0
-    ps, levels, plain = _level_tables(f, P)
-    plain = plain.real
-    top = np.ones(ps.size)  # j = 0 weight before normalization
-    for cnt, w, _ in levels:
-        np.maximum(top[:cnt], w.real, out=top[:cnt])
-    return float(np.sum(1.0 - top / plain))
+    total = 0.0
+    for ps, levels, plain in _level_tables(f, P):
+        top = np.ones(ps.size)  # j = 0 weight before normalization
+        for cnt, w, _ in levels:
+            np.maximum(top[:cnt], w.real, out=top[:cnt])
+        total += float(np.sum(1.0 - top / plain.real))
+    return total
 
 
 def greedy_witness(f: MultFunc, v, u, p_cap: int = 100_000) -> int:
@@ -381,21 +408,21 @@ def greedy_witness(f: MultFunc, v, u, p_cap: int = 100_000) -> int:
     fprod = complex(1.0)
     if ratio <= u:  # only possible when u = 1
         return m
-    ps = primes_up_to(int(p_cap))
-    for p_, fp_ in zip(ps, f.at_primes(ps)):
-        p = int(p_)
-        fp = complex(fp_)
-        if fp == 0:
-            continue
-        cand = ratio * p / (p + 1)
-        if cand > v:
-            m *= p
-            ratio = cand
-            fprod *= fp
-            if ratio <= u:
-                if not (abs(fprod.imag) < 1e-9 and fprod.real > 0):
-                    raise WitnessNotFound(f"greedy product has f(m) = {fprod}, not positive")
-                return m
+    for ps in prime_segments(int(p_cap)):  # p_cap is checked here, before any prime is sieved
+        for p_, fp_ in zip(ps, f.at_primes(ps)):
+            p = int(p_)
+            fp = complex(fp_)
+            if fp == 0:
+                continue
+            cand = ratio * p / (p + 1)
+            if cand > v:
+                m *= p
+                ratio = cand
+                fprod *= fp
+                if ratio <= u:
+                    if not (abs(fprod.imag) < 1e-9 and fprod.real > 0):
+                        raise WitnessNotFound(f"greedy product has f(m) = {fprod}, not positive")
+                    return m
     raise WitnessNotFound(
         f"no witness in ({v}, {u}] with primes up to {p_cap}; increase p_cap")
 

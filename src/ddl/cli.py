@@ -100,11 +100,13 @@ def _meta(args: argparse.Namespace, t0: float) -> dict:
     }
 
 
-def _write(text: str, out: str | None):
+def _write(parts, out: str | None):
+    """Write the strings of parts, in order, to out or stdout."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _estimate_csv(est, meta: dict) -> str:
@@ -120,6 +122,36 @@ def _estimate_csv(est, meta: dict) -> str:
         buf.write(f"{num},{den},{r.real:.12g},{r.imag:.12g},"
                   f"{v.real:.12g},{v.imag:.12g}\n")
     return buf.getvalue()
+
+
+# An estimate's JSON rows are formatted this many at a time.
+_JSON_ROW_BLOCK = 1 << 14
+_JSON_ROW = ('    {{\n      "raw_im": {},\n      "raw_re": {},\n      "u_den": {},\n'
+             '      "u_num": {},\n      "value_im": {},\n      "value_re": {}\n    }}')
+
+
+def _estimate_json(est, meta: dict):
+    """The text of json.dumps({"meta", "mode", "normalizer", "rows"},
+    indent=2, sort_keys=True) with non-finite floats as null, in parts and
+    without a dict per row: "rows" sorts last, so the rest is dumped with an
+    empty list and the rows, written a block at a time, go in its place."""
+    head = {"meta": meta, "mode": est.mode, "normalizer": est.normalizer, "rows": []}
+    _null_non_finite(head)
+    text = json.dumps(head, indent=2, sort_keys=True, allow_nan=False)
+    yield text[:-len("]\n}")]  # a grid holds at least one threshold
+
+    def num(v: float) -> str:
+        return repr(v) if math.isfinite(v) else "null"
+
+    for a in range(0, est.raw.size, _JSON_ROW_BLOCK):
+        b = a + _JSON_ROW_BLOCK
+        raw, values = est.raw[a:b], est.raw[a:b] / est.normalizer
+        cols = (raw.imag.tolist(), raw.real.tolist(), est.grid.dens[a:b].tolist(),
+                est.grid.nums[a:b].tolist(), values.imag.tolist(), values.real.tolist())
+        yield ("\n" if a == 0 else ",\n") + ",\n".join(
+            _JSON_ROW.format(num(ri), num(rr), den, nu, num(vi), num(vr))
+            for ri, rr, den, nu, vi, vr in zip(*cols))
+    yield "\n  ]\n}\n"
 
 
 def _check_output(args):
@@ -149,7 +181,7 @@ def _emit(result, args, t0):
     meta = _meta(args, t0)
     if isinstance(result, WeightedCdfEstimate):
         if args.format == "csv":
-            _write(_estimate_csv(result, meta), args.out)
+            _write([_estimate_csv(result, meta)], args.out)
             if args.gnuplot:
                 path = args.out.replace("'", "''")  # gnuplot's escape within single quotes
                 Path(args.out + ".gp").write_text(
@@ -158,14 +190,11 @@ def _emit(result, args, t0):
                     "set xlabel 'u'\nset ylabel 'value'\n"
                     f"plot '{path}' using ($1/$2):5 with lines title 'value'\n")
             return
-        rows = [{"u_num": num, "u_den": den, "raw_re": r.real, "raw_im": r.imag,
-                 "value_re": v.real, "value_im": v.imag}
-                for num, den, r, v in zip(result.grid.nums.tolist(), result.grid.dens.tolist(),
-                                          result.raw, result.values)]
-        result = {"mode": result.mode, "normalizer": result.normalizer, "rows": rows}
+        _write(_estimate_json(result, meta), args.out)
+        return
     payload = {**result, "meta": meta}
     _null_non_finite(payload)
-    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", args.out)
+    _write([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"], args.out)
 
 
 # ---------------------------------------------------------------------------

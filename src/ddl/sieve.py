@@ -23,14 +23,16 @@ value at 1 (0/0 for sigma_over_n) is computed with floating-point warnings
 off and discarded.  The values f(p^j) at the base primes are computed once
 per scan, one vectorized call per level j, and shared by every segment.
 
-The base primes come from primes_up_to, a segmented sieve of Eratosthenes
-over the odd numbers (slot i stands for 2i + 1).  Its own base primes, the
-odd primes up to sqrt(limit), come from the same function called at
-sqrt(limit).  The odd slots are then marked in segments of SEGMENT_SIZE
-slots, one 1 MB mask reused for every segment; each base prime p strikes
-every p-th slot from p^2 on, and carries the offset of its next multiple
-from one segment to the next.  The survivors of each segment are joined in
-order.
+Primes come from prime_segments, a segmented sieve of Eratosthenes over
+the odd numbers (slot i stands for 2i + 1) that hands them out as a stream,
+one array per segment of SEGMENT_SIZE slots.  Its base primes, the odd
+primes up to sqrt(limit), come from primes_up_to(sqrt(limit)).  The odd
+slots are marked one segment at a time in one 1 MB mask reused for every
+segment; each base prime p strikes every p-th slot from p^2 on, and carries
+the offset of its next multiple from one segment to the next.  The analytic
+ops reduce the stream segment by segment, so they hold one segment's primes
+at any limit.  primes_up_to joins the stream into one array; it gives the
+scan its base primes (sqrt x) and the stream its own.
 
 [1, x] is cut into segments of the fixed length SEGMENT_SIZE, so every scan
 up to x has the same layout.  At 2^20 a segment's int64 arrays take 8 MB
@@ -66,7 +68,9 @@ __all__ = [
     "ResourceLimitError",
     "SEGMENT_SIZE",
     "SIEVE_LIMIT",
+    "PRIME_LIMIT",
     "ScanChunk",
+    "prime_segments",
     "primes_up_to",
     "scan_segments",
     "sigma_table",
@@ -84,13 +88,24 @@ SEGMENT_SIZE = 1 << 20
 # headers store bounds as uint32.
 SIEVE_LIMIT = 4_000_000_000
 
+# Upper bound on the primes streamed by prime_segments, and so on every
+# analytic P, x and p_cap.  Memory does not set it: the stream holds one
+# segment's primes and the base primes up to sqrt(P), and `analytic mean`
+# peaks at 52 MB at P = 1e10 as at 1e8.  Time does: the per-segment loop
+# over the base primes grows with sqrt(P), so `analytic mean` takes 5 s at
+# P = 1e9 and 80 s at 1e10 (one run each, 2-core Xeon VM), and 1e11 would
+# run for well over ten minutes with no progress shown.  Below the limit
+# float64 holds every prime exactly.
+PRIME_LIMIT = 10 ** 10
+
 CACHE_MAGIC = b"SGMA"
 CACHE_VERSION = 2
 _CACHE_HEADER = struct.Struct("<4sIIII")  # magic, version, lo, hi, crc32 of payload  (20 bytes)
 
 # Largest dense sigma table sigma_table will allocate, and the most that
 # primes_up_to may hold at once: one segment mask, the segment pieces and
-# the joined prime list.
+# the joined prime list.  The analytic ops read prime_segments instead,
+# which holds one segment at a time, so this budget does not bound them.
 SIGMA_TABLE_BUDGET_BYTES = 2_000_000_000
 
 
@@ -102,48 +117,63 @@ class ResourceLimitError(SieveError):
     """Request refused because it would overflow integers or exhaust memory."""
 
 
-def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array, by a segmented sieve over the
-    odd numbers: slot i is 2i + 1, and slot 0 is 2, not 1."""
+def prime_segments(limit: int):
+    """The primes <= limit as a stream of int64 arrays in ascending order, one
+    per segment of SEGMENT_SIZE odd slots (2 SEGMENT_SIZE integers), by a
+    segmented sieve over the odd numbers: slot i is 2i + 1, and slot 0 is 2,
+    not 1.  A segment without primes gives an empty array.  The limit is
+    checked against PRIME_LIMIT when this is called, before any prime is
+    sieved."""
     limit = int(limit)
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    # One byte per odd number plus 8 per prime (pi(limit) < 1.26 limit/ln limit),
-    # the size of a whole-range mask and the list.  The segmented sieve holds
-    # a SEGMENT_SIZE mask and 16 bytes per prime (pieces and joined list),
-    # less than this from limit = 1e8 on: 1.6 GB at 2.07e9, the largest limit
-    # accepted.  The estimate is checked before anything is allocated.
-    need = (limit + 1) // 2 + 10 * limit / math.log(limit)
-    if need > SIGMA_TABLE_BUDGET_BYTES:
+    if limit > PRIME_LIMIT:
         raise ResourceLimitError(
-            f"primes up to {limit} need {need / 1e9:.1f} GB, "
-            f"over the {SIGMA_TABLE_BUDGET_BYTES / 1e9:.1f} GB budget")
+            f"prime bound {limit} exceeds the supported limit {PRIME_LIMIT}")
+    return _odd_sieve(limit)
+
+
+def _odd_sieve(limit: int):
+    if limit < 2:
+        return
     base = primes_up_to(isqrt(limit))[1:]
     offset = base * base // 2  # slot of p^2, relative to the segment's first slot
     slots = (limit + 1) // 2
     mask = np.empty(min(SEGMENT_SIZE, slots), dtype=bool)
-    pieces = []
     for start in range(0, slots, SEGMENT_SIZE):
         seg = mask[:min(SEGMENT_SIZE, slots - start)]
         seg.fill(True)
         for p, o in zip(base.tolist(), offset.tolist()):
             seg[o::p] = False
-        piece = np.flatnonzero(seg)
+        piece = np.flatnonzero(seg).astype(np.int64, copy=False)
         piece += start
-        pieces.append(piece)
+        piece *= 2
+        piece += 1
+        if start == 0:
+            piece[0] = 2
+        yield piece
         # a prime that struck this segment goes on (o - size) mod p slots into
         # the next one; a prime that did not reach it is size slots nearer
         offset -= seg.size
         offset = np.where(offset < 0, offset % base, offset)
-    # A lone piece is kept, not copied: freeing it would raise glibc's adaptive
-    # mmap threshold past char_function's 512 KB blocks, which then come from
-    # the heap and fragment it (peak RSS +4.3 MB for invert at P = 1e6).
-    ps = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    ps = ps.astype(np.int64, copy=False)
-    ps *= 2
-    ps += 1
-    ps[0] = 2
-    return ps
+
+
+def primes_up_to(limit: int) -> np.ndarray:
+    """All primes <= limit as one int64 array: the segments of prime_segments
+    joined.  The analytic ops read the stream itself; this serves the scan's
+    base primes (sqrt x) and the stream's own."""
+    limit = int(limit)
+    # One byte per odd number plus 8 per prime (pi(limit) < 1.26 limit/ln limit),
+    # the size of a whole-range mask and the list.  The segmented sieve holds
+    # a SEGMENT_SIZE mask and 16 bytes per prime (pieces and joined list),
+    # less than this from limit = 1e8 on: 1.6 GB at 2.07e9, the largest limit
+    # accepted.  The estimate is checked before anything is allocated.
+    if limit >= 2:
+        need = (limit + 1) // 2 + 10 * limit / math.log(limit)
+        if need > SIGMA_TABLE_BUDGET_BYTES:
+            raise ResourceLimitError(
+                f"primes up to {limit} need {need / 1e9:.1f} GB, "
+                f"over the {SIGMA_TABLE_BUDGET_BYTES / 1e9:.1f} GB budget")
+    pieces = list(prime_segments(limit)) or [np.empty(0, dtype=np.int64)]
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _check_bounds(lo: int, hi: int):

@@ -9,7 +9,11 @@ oracles.  empirical_char_function, the sieve side, reads sigma and f from
 ddl.sieve.scan_segments, whose values the sieve tests check against the
 oracles above.  char_function_direct, the per-t Euler product, reads the
 local series from ddl.analytic._level_tables, which the analytic tests check
-against closed forms.  segment_size is not an oracle but the one way tests choose a
+against closed forms.  The whole-array oracles (mean_whole, wirsing_whole,
+jumps_whole, kappa_whole, halasz_whole, witness_whole) are the analytic ops
+as one reduction over every prime <= P at once, from primes_up_to and one
+ddl.analytic._levels table; the library streams the same primes a segment
+at a time.  segment_size is not an oracle but the one way tests choose a
 scan layout other than ddl.sieve.SEGMENT_SIZE; grid_of, grid_fractions,
 grid_index, raw_at, value_at, raw_counts and densities only build or read
 the grids and results the library takes and returns, and restrict_coprime
@@ -28,10 +32,10 @@ import numpy as np
 import pytest
 
 import ddl.sieve
-from ddl.analytic import _level_tables
+from ddl.analytic import EULER_GAMMA, _level_tables, _levels
 from ddl.empirical import ThresholdGrid
 from ddl.multfunc import MultFunc
-from ddl.sieve import scan_segments
+from ddl.sieve import primes_up_to, scan_segments
 
 
 @contextmanager
@@ -286,14 +290,72 @@ def empirical_char_function(f, x: int, ts, **scan_kw) -> np.ndarray:
 
 
 def char_function_direct(f, ts, P: int) -> np.ndarray:
-    """prod_{p<=P} twisted(p, t)/plain(p), one t at a time over every prime
-    <= P: no split and no series, O(#t * pi(P))."""
+    """prod_{p<=P} twisted(p, t)/plain(p), one t at a time over the primes of
+    each stream segment: no split and no series, O(#t * pi(P))."""
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-    ps, levels, plain = _level_tables(f, int(P))
-    out = np.empty(ts.size, dtype=np.complex128)
-    for k, t in enumerate(ts):
-        acc = np.ones(ps.size, dtype=np.complex128)
-        for cnt, w, lr in levels:
-            acc[:cnt] += w * np.exp(1j * t * lr)
-        out[k] = np.prod(acc / plain)
+    out = np.ones(ts.size, dtype=np.complex128)
+    for ps, levels, plain in _level_tables(f, int(P)):
+        for k, t in enumerate(ts):
+            acc = np.ones(ps.size, dtype=np.complex128)
+            for cnt, w, lr in levels:
+                acc[:cnt] += w * np.exp(1j * t * lr)
+            out[k] *= np.prod(acc / plain)
     return out
+
+
+def whole_tables(f, P: int):
+    """(ps, levels, plain) over every prime <= P in one table."""
+    ps = primes_up_to(P)
+    return (ps, *_levels(f, ps, P))
+
+
+def mean_whole(f, P: int) -> complex:
+    """prod_{p<=P} (1 - 1/p) plain(p), 0 when some factor is 0."""
+    ps, _, plain = whole_tables(f, P)
+    factors = ((1.0 - 1.0 / ps) * plain).astype(np.complex128)
+    if np.any(np.abs(factors) < 1e-300):
+        return 0j
+    return complex(np.exp(np.sum(np.log(factors))))
+
+
+def wirsing_whole(f, x: float, P: int) -> float:
+    _, _, plain = whole_tables(f, min(P, int(x)))
+    kappa = f.kappa
+    return (math.exp(-EULER_GAMMA * kappa) / math.gamma(kappa) * x / math.log(x)
+            * math.exp(float(np.sum(np.log(plain.real)))))
+
+
+def jumps_whole(f, P: int) -> float:
+    ps, levels, plain = whole_tables(f, P)
+    top = np.ones(ps.size)
+    for cnt, w, _ in levels:
+        top[:cnt] = np.maximum(top[:cnt], w.real)
+    return float(np.sum(1.0 - top / plain.real))
+
+
+def kappa_whole(f, x: int) -> tuple[float, float]:
+    ps = primes_up_to(x)
+    pf, fp = ps.astype(np.float64), f.at_primes(ps)
+    return (float(np.sum(fp * np.log(pf) / pf).real) / math.log(x),
+            float(np.sum(fp / pf).real))
+
+
+def halasz_whole(f, beta: float, P: int) -> float:
+    ps = primes_up_to(P)
+    twist = f.at_primes(ps) * np.exp(-1j * beta * np.log(ps.astype(np.float64)))
+    return float(np.sum((1.0 - twist.real) / ps))
+
+
+def witness_whole(f, v, u, p_cap: int) -> int | None:
+    """The greedy descent of ddl.analytic.greedy_witness over every prime
+    <= p_cap at once; None when they do not suffice."""
+    v, u = Fraction(v), Fraction(u)
+    ratio, m = Fraction(1), 1
+    ps = primes_up_to(p_cap)
+    for p, fp in zip(ps.tolist(), f.at_primes(ps).tolist()):
+        if ratio <= u:
+            return m
+        if fp != 0 and ratio * p / (p + 1) > v:
+            m *= p
+            ratio = ratio * p / (p + 1)
+    return m if ratio <= u else None

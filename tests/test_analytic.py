@@ -11,8 +11,8 @@ import ddl
 from ddl.analytic import (CUMULANT_BUDGET, WitnessNotFound, _level_tables, _policy_tail,
                           char_function, continuity_diagnostic, greedy_witness, halasz_series,
                           mean_value_product, mertens_kappa, wirsing_prediction)
-from ddl.multfunc import make
-from ddl.sieve import primes_up_to
+from ddl.multfunc import MultFunc, make
+from ddl.sieve import PRIME_LIMIT, SEGMENT_SIZE, ResourceLimitError, primes_up_to
 
 import oracles
 
@@ -21,44 +21,56 @@ ONE = make("one")
 
 
 def local_series(f, P, t):
-    """Per-prime (ps, twisted(p, t), plain(p), higher(p)) from the level tables."""
-    ps, levels, plain = _level_tables(f, P)
-    twisted = np.ones(ps.size, dtype=complex)
-    higher = np.zeros(ps.size, dtype=complex)
-    for j, (cnt, w, lr) in enumerate(levels, start=1):
-        twisted[:cnt] += w * np.exp(1j * t * lr)
-        if j >= 2:
-            higher[:cnt] += w
-    return ps, twisted, plain, higher
+    """Per-prime (ps, twisted(p, t), plain(p), higher(p)) from the level tables
+    of each segment of the prime stream, joined."""
+    parts = []
+    for ps, levels, plain in _level_tables(f, P):
+        twisted = np.ones(ps.size, dtype=complex)
+        higher = np.zeros(ps.size, dtype=complex)
+        for j, (cnt, w, lr) in enumerate(levels, start=1):
+            twisted[:cnt] += w * np.exp(1j * t * lr)
+            if j >= 2:
+                higher[:cnt] += w
+        parts.append((ps, twisted, plain, higher))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def level_terms(f, P, p):
+    """Number of series terms kept at the prime p <= P, from the table of the
+    stream segment that holds p."""
+    for ps, levels, _ in _level_tables(f, P):
+        if ps.size and ps[-1] >= p:
+            k = int(np.searchsorted(ps, p))
+            assert ps[k] == p
+            return sum(1 for cnt, _, _ in levels if cnt > k)
+    raise AssertionError(f"{p} is not a prime <= {P}")
 
 
 def test_series_cutoff_rule():
     # p stays at level j >= 3 while p^(j-2) <= 2^40, i.e. J(p) =
     # floor(40 / log2 p) + 2 terms, and no term with p^j > 1e17 is kept
-    ps, levels, _ = _level_tables(ONE, 10 ** 6)
-
-    def terms(p):
-        k = int(np.searchsorted(ps, p))
-        return sum(1 for cnt, _, _ in levels if cnt > k)
-
-    assert terms(2) == 42
-    assert terms(3) == 27
-    assert terms(999_983) == 2   # the largest prime below 1e6; p^3 > 1e17
+    assert level_terms(ONE, 10 ** 6, 2) == 42
+    assert level_terms(ONE, 10 ** 6, 3) == 27
+    assert level_terms(ONE, 10 ** 6, 999_983) == 2   # the largest prime below 1e6; p^3 > 1e17
 
 
 def test_level_logratio_near_one():
     # lr = log(p^j / sigma(p^j)) = -log1p(s) with s = (sigma(p^j) - p^j) / p^j, taken
     # as an exact rational; near p = 1e8 sigma(p^j)/p^j is within 1e-8 of 1, and
-    # the log of that ratio rounded to a double would keep only eight digits
-    ps, levels, _ = _level_tables(ONE, 10 ** 8)
-    for near in (10 ** 3, 10 ** 6, 10 ** 8):
-        ks = int(np.searchsorted(ps, near, side="right")) - np.arange(1, 4)
-        for j, (cnt, _, lr) in enumerate(levels[:2], start=1):
-            for k in ks.tolist():
-                p = int(ps[k])
+    # the log of that ratio rounded to a double would keep only eight digits.
+    # The tables are read segment by segment; these are the three largest
+    # primes below 1e3, 1e6 and 1e8.
+    want = [983, 991, 997, 999_961, 999_979, 999_983, 99_999_959, 99_999_971, 99_999_989]
+    checked = []
+    for ps, levels, _ in _level_tables(ONE, 10 ** 8):
+        for k in np.flatnonzero(np.isin(ps, want)).tolist():
+            p = int(ps[k])
+            for j, (cnt, _, lr) in enumerate(levels[:2], start=1):
                 assert k < cnt
                 s = Fraction(sum(p ** i for i in range(j)), p ** j)
                 assert lr[k] == pytest.approx(-math.log1p(s), rel=1e-15, abs=0), (p, j)
+            checked.append(p)
+    assert checked == want
 
 
 def test_local_series_examples():
@@ -93,7 +105,7 @@ def test_mean_value_products():
 
 def test_phi_factor_simplification_per_prime():
     # local factor (1 - 1/p) * plain(p) equals 1 - 1/p^2 for phi/n
-    ps, _, plain = _level_tables(make("phi_over_n"), 10 ** 4)
+    ps, _, plain = next(_level_tables(make("phi_over_n"), 10 ** 4))  # P in the first segment
     pf = ps.astype(float)
     assert np.allclose((1 - 1 / pf) * plain, 1 - 1 / pf ** 2, rtol=0, atol=1e-10)
 
@@ -299,3 +311,90 @@ def test_greedy_witness_budget_failure():
     with pytest.raises(WitnessNotFound):
         greedy_witness(ONE, Fraction(2, 5), Fraction(1, 2), p_cap=2)
 
+
+
+# P at and around the ends of the prime stream's segments, 2 SEGMENT_SIZE
+# integers each: k = 3 spans three segments, and 2 k SEGMENT_SIZE + 1 adds a
+# last segment of one odd number, which holds no prime
+STREAM_EDGES = [2 * k * SEGMENT_SIZE + d for k in (1, 3) for d in (-1, 0, 1)]
+
+
+def check_streamed_ops(P):
+    """Every streamed reduction at P against its whole-array oracle."""
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    r, lam = make("r"), ddl.parse_spec("lambda:a=1,q=3")
+    for f in (make("phi_over_n"), ddl.parse_spec("phi_over_n_pow:re=1,im=2")):
+        close(mean_value_product(f, P).value, oracles.mean_whole(f, P))
+    close(wirsing_prediction(r, 1e12, P), oracles.wirsing_whole(r, 1e12, P))
+    close(continuity_diagnostic(r, P), oracles.jumps_whole(r, P))
+    for got, want in zip(mertens_kappa(lam, P), oracles.kappa_whole(lam, P)):
+        close(got, want)
+    close(halasz_series(lam, 0.7, P), oracles.halasz_whole(lam, 0.7, P))
+    ts = np.array([-2.5, 0.0, 40.0])
+    prof = char_function(r, ts, P)
+    rem = prof.tail_bounds - _policy_tail(r, ts, P)
+    assert prof.values[1] == 1.0
+    # the budget is shared by every prime <= P, not those of one segment
+    assert np.all((rem >= 0) & (rem <= CUMULANT_BUDGET))
+    direct = oracles.char_function_direct(r, ts, P)
+    assert np.all(np.abs(prof.values - direct) <= rem + 1e-12)
+
+
+@pytest.mark.parametrize("P", STREAM_EDGES)
+def test_streamed_ops_at_segment_edges(P):
+    check_streamed_ops(P)
+
+
+@pytest.mark.parametrize("size", [3, 64, 1000])
+def test_streamed_ops_small_segments(size):
+    # up to 21 segments of 2 size integers, some without a prime; at sizes
+    # 3 and 64 the exact primes up to P0 (about 264 for t = 40) span several
+    with oracles.segment_size(size):
+        for P in (11, 14 * size + 1, 40 * size + 1):
+            check_streamed_ops(P)
+
+
+def test_streamed_mean_zero_factor():
+    # a zero local factor anywhere makes the product 0, in whichever
+    # segment it lies: here plain(101) = 1 - 101/101 = 0
+    def vector(ps, j):
+        return np.where(ps == 101, -101.0 if j == 1 else 0.0, 1.0)
+
+    f = MultFunc("zero_at_101", {}, vector, nonneg=False, unit_disc=False,
+                 complex_valued=False, mean_value_ok=True, eta_coeff=2.0)
+    for size in (3, SEGMENT_SIZE):
+        with oracles.segment_size(size):
+            assert mean_value_product(f, 10_007).value == 0j == oracles.mean_whole(f, 10_007)
+            assert mean_value_product(f, 100).value != 0
+
+
+def test_streamed_witness_equals_whole_array():
+    # the witness takes the prime 2,669,257 > 2^21, from the stream's second segment
+    f = make("two_squares_indicator")
+    v, u = Fraction(3, 5) - Fraction(1, 10 ** 7), Fraction(3, 5)
+    P = 4 * SEGMENT_SIZE + 1
+    m = greedy_witness(f, v, u, p_cap=P)
+    assert m == oracles.witness_whole(f, v, u, P)
+    assert m % 2_669_257 == 0
+    cases = [(Fraction(2, 5), Fraction(1, 2)), (Fraction(3, 10), Fraction(7, 20)),
+             (Fraction(3, 5) - Fraction(1, 10 ** 5), Fraction(3, 5))]
+    with oracles.segment_size(64):
+        for f in (ONE, make("two_squares_indicator")):
+            for v, u in cases:
+                for p_cap in (127, 128, 129, 257, 30_011):
+                    want = oracles.witness_whole(f, v, u, p_cap)
+                    if want is None:
+                        with pytest.raises(WitnessNotFound):
+                            greedy_witness(f, v, u, p_cap=p_cap)
+                    else:
+                        assert greedy_witness(f, v, u, p_cap=p_cap) == want
+
+
+def test_prime_cap_checked_before_sieving():
+    # the witness lies at p = 3, but a p_cap over the limit is refused first
+    with pytest.raises(ResourceLimitError, match="supported limit"):
+        greedy_witness(ONE, 0, Fraction(1, 2), p_cap=PRIME_LIMIT + 1)
+    # at the limit the walk sieves only the stream's first segment
+    assert greedy_witness(ONE, 0, Fraction(1, 2), p_cap=PRIME_LIMIT) == 6

@@ -10,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddl import cli
 from ddl.cli import main
+from ddl.empirical import ThresholdGrid, WeightedCdfEstimate, estimate_weighted_cdf
+from ddl.multfunc import make
 from ddl.sieve import read_segment_cache, sigma_table, write_segment_cache
 
 import oracles
@@ -362,6 +365,53 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         raise AssertionError("estimate_weighted_cdf called before the grid was checked")
     monkeypatch.setattr("ddl.cli.estimate_weighted_cdf", unreachable)
     assert exit_code("compare", "--f", "one", "--x", "1000", "--P", "100", "--grid", "0") == 2
+
+
+def reference_estimate_json(est, meta) -> str:
+    """An estimate's JSON built the plain way: one dict per row, non-finite
+    floats set to None, and json.dumps over the whole payload."""
+    rows = [{"u_num": num, "u_den": den, "raw_re": r.real, "raw_im": r.imag,
+             "value_re": v.real, "value_im": v.imag}
+            for num, den, r, v in zip(est.grid.nums.tolist(), est.grid.dens.tolist(),
+                                      est.raw, est.values)]
+    payload = {"mode": est.mode, "normalizer": est.normalizer, "rows": rows, "meta": meta}
+    cli._null_non_finite(payload)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_estimate_json_written_row_by_row(tmp_path, monkeypatch):
+    out = tmp_path / "est.json"
+    assert run_cli("estimate", "--f", "one", "--x", "1000", "--grid", "steps:1000",
+                   "--format", "json", "--out", str(out)) == 0
+    text = out.read_text()
+    est = estimate_weighted_cdf(make("one"), 1000, ThresholdGrid.parse("steps:1000"))
+    assert text == reference_estimate_json(est, strict_json(text)["meta"])
+    # rows across blocks, complex values, -0.0 and the non-finite floats, written as null
+    monkeypatch.setattr(cli, "_JSON_ROW_BLOCK", 7)
+    meta = {"config": {"x": 1}, "generated": {"timestamp": "t"}}
+    assert "".join(cli._estimate_json(est, meta)) == reference_estimate_json(est, meta)
+    grid = ThresholdGrid.parse("steps:20")
+    raw = np.linspace(-3, 3, 21) + 1j * np.linspace(2, -2, 21)
+    raw[[2, 5, 9, 15]] = [np.nan, np.inf + 1j, -np.inf * 1j, complex(-0.0, -0.0)]
+    for normalizer in (7.5, math.inf):
+        odd = WeightedCdfEstimate("one", 20, grid, raw, normalizer, "df")
+        with np.errstate(invalid="ignore"):
+            assert "".join(cli._estimate_json(odd, meta)) == reference_estimate_json(odd, meta)
+
+
+def test_analytic_memory_does_not_grow_with_P():
+    # peak resident memory of `analytic mean` in a child process, at P a
+    # decade apart: the primes stream by segment, so the peaks agree
+    script = ("import os, resource, sys\n"
+              "from ddl.cli import main\n"
+              "main(['analytic', 'mean', '--f', 'one', '--P', sys.argv[1], '--out', os.devnull])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    peaks_mb = [int(subprocess.run([sys.executable, "-c", script, P], env=env, check=True,
+                                   capture_output=True, text=True, timeout=120).stdout) / 1024
+                for P in ("5e6", "5e7")]
+    assert abs(peaks_mb[1] - peaks_mb[0]) < 3.0, peaks_mb
 
 
 def test_oversized_requests_refused_before_allocating():

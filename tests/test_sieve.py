@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ddl.multfunc import catalog_ids, make, parse_spec
-from ddl.sieve import (ResourceLimitError, SEGMENT_SIZE, SIEVE_LIMIT, SieveError,
-                       _prime_power_table, _segment_tables, primes_up_to, read_segment_cache,
-                       scan_segments, sigma_table, write_segment_cache)
+from ddl.sieve import (PRIME_LIMIT, ResourceLimitError, SEGMENT_SIZE, SIEVE_LIMIT, SieveError,
+                       _prime_power_table, _segment_tables, prime_segments, primes_up_to,
+                       read_segment_cache, scan_segments, sigma_table, write_segment_cache)
 
 import oracles
 
@@ -57,6 +57,32 @@ def test_primes_up_to_small_segments(size):
     with oracles.segment_size(size):
         for limit in [*range(160), 2 * size * 7 + 1, 5_003, 30_011]:
             assert np.array_equal(primes_up_to(limit), oracles.primes_brute(limit)), limit
+
+
+@pytest.mark.parametrize("size", [1, 4, 64])
+def test_prime_segments_one_array_per_segment(size):
+    # segment k holds the primes among the odd slots k size .. (k + 1) size - 1,
+    # i.e. the numbers 2 k size + 1 .. 2 (k + 1) size - 1, with 2 in place of 1
+    with oracles.segment_size(size):
+        for limit in (2, 3, 2 * size * 7, 2 * size * 7 + 1, 5_003):
+            pieces = list(prime_segments(limit))
+            assert len(pieces) == -(-((limit + 1) // 2) // size)
+            for k, piece in enumerate(pieces):
+                assert piece.dtype == np.int64
+                lo, hi = 2 * k * size, max(2, min(limit, 2 * (k + 1) * size - 1))
+                want = oracles.primes_brute(hi)
+                assert np.array_equal(piece, want[want > lo]), (limit, k)
+    assert list(prime_segments(1)) == []
+
+
+def test_prime_limit():
+    # refused when the stream is asked for, before any prime is sieved
+    with pytest.raises(ResourceLimitError, match=f"supported limit {PRIME_LIMIT}"):
+        prime_segments(PRIME_LIMIT + 1)
+    assert next(prime_segments(PRIME_LIMIT))[:4].tolist() == [2, 3, 5, 7]
+    # every limit primes_up_to accepts is streamed: its budget refuses first
+    with pytest.raises(ResourceLimitError, match="over the 2.0 GB budget"):
+        primes_up_to(PRIME_LIMIT)
 
 
 def test_primes_up_to_1e8():
