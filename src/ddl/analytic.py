@@ -21,13 +21,14 @@ P0 the local law phi_p(z) = twisted(p, -iz)/plain(p) is analytic with
 |log(p^j/sigma(p^j))| < 1/(p-1); so those primes enter as the exponential
 of their summed cumulant series, cut at an order K chosen per chunk of
 primes.  Cauchy's estimate bounds what the cut drops by
-log plain(p) q^(K+1)/(1-q) per prime, q = |t|/R_p <= 1/2; that remainder,
-at most CUMULANT_BUDGET = 1e-13, is added to the profile's tail bounds.
+log plain(p) q^(K+1)/(1-q) per prime, q = |t|/R_p <= 1/2.  That remainder
+is added to the profile's tail bounds; it is at most CUMULANT_BUDGET = 1e-13
+for every nonnegative catalog entry at P <= PRIME_LIMIT (see LOG_PLAIN_CAP).
 
 Products are accumulated in log space: each local factor tends to 1, so the
 sum of principal-branch logarithms is well conditioned and cannot underflow.
 
-Every op is a reduction over the primes up to P, which ``sieve.prime_segments``
+Every op is one pass over the primes up to P, which ``sieve.prime_segments``
 hands out one segment at a time, so memory stays that of one segment at any
 P.  ``_level_tables`` gives each segment's table of these series, built one
 level j at a time over the segment's primes.  The truncation rule lives
@@ -47,7 +48,6 @@ from fractions import Fraction
 import numpy as np
 
 from .multfunc import MultFunc
-from . import sieve
 from .sieve import prime_segments
 
 __all__ = [
@@ -65,15 +65,20 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015329
 
-# Policy constants for the characteristic-function tail estimate.
+# Policy constant for the characteristic-function tail estimate.
 TAIL_CONSTANT = 2.0
-TAIL_P0 = 11
 
 # The characteristic-function split (see char_function): the summed cumulant
 # remainder at max|t| stays under CUMULANT_BUDGET, with series orders up to
 # CUMULANT_MAX_ORDER over chunks of CUMULANT_CHUNK primes; the exact small
 # primes go in (t, prime) blocks of at most EXACT_ELEMENTS.
 CUMULANT_BUDGET = 1e-13
+# Each prime p may drop log plain(p) CUMULANT_BUDGET / LOG_PLAIN_CAP, a share
+# fixed before any prime is read.  The cap bounds sum_{p<=P} log plain(p) over
+# the nonnegative catalog at P <= PRIME_LIMIT.  phi_over_n_pow:re=-8,im=0
+# gives the most (plain(2) = 257): 11.88 at P = 1e8 and 12.10 at 1e10; tau,
+# of density 2, 6.98 and 7.43.  Past 1e8 the sum grows by about 0.22 kappa.
+LOG_PLAIN_CAP = 16.0
 CUMULANT_MAX_ORDER = 20
 CUMULANT_CHUNK = 2 ** 13
 EXACT_ELEMENTS = 2 ** 16
@@ -273,9 +278,11 @@ def char_function(f: MultFunc, ts, P: int) -> CharFnProfile:
     enter as exp(sum_k c_k (it)^k), their summed cumulant series (see the
     module docstring).  Cut at order K, the series drops at most
     M_p q^(K+1)/(1-q) at p, M_p = log plain(p), q = |t|/R_p.  P0 is set so
-    that q <= 1/2 and order CUMULANT_MAX_ORDER keeps the sum of that under
-    CUMULANT_BUDGET; K is chosen per chunk of CUMULANT_CHUNK primes for the
-    same budget, and the remainder it leaves, per t, is added to tail_bounds.
+    that q <= 1/2 and order CUMULANT_MAX_ORDER keep that under M_p times a
+    fixed share of CUMULANT_BUDGET (see LOG_PLAIN_CAP), and K is chosen per
+    chunk of CUMULANT_CHUNK primes for the same share, so the primes are read
+    in one pass.  The remainder, per t, is added to tail_bounds; it is under
+    CUMULANT_BUDGET for every nonnegative catalog entry at P <= PRIME_LIMIT.
     """
     if not f.nonneg:
         raise ValueError("characteristic-function product needs a nonnegative function")
@@ -284,28 +291,18 @@ def char_function(f: MultFunc, ts, P: int) -> CharFnProfile:
         raise ValueError("t values must be finite")
     P = int(P)
     t_max = float(np.max(np.abs(ts), initial=0.0))
-    # eps needs sum_p M_p over every prime <= P before any K is chosen, so a
-    # first pass over the stream sums it.  When the primes fit one segment,
-    # as for invert and compare at P <= 2^21, the table is built once and
-    # kept for the second pass.
-    kept = list(_level_tables(f, P)) if (P + 1) // 2 <= sieve.SEGMENT_SIZE else None
-    m_sum = sum(float(np.sum(np.log(plain))) for _, _, plain in kept or _level_tables(f, P))
-    # per-prime share of the budget: sum_p M_p eps <= CUMULANT_BUDGET, and
     # q^(K+1)/(1-q) <= eps for q <= rho_cut at K = CUMULANT_MAX_ORDER
-    eps = CUMULANT_BUDGET / max(m_sum, 1e-300)
+    eps = CUMULANT_BUDGET / LOG_PLAIN_CAP
     rho_cut = min(0.5, (eps / 2.0) ** (1.0 / (CUMULANT_MAX_ORDER + 1)))
     P0 = math.ceil(min(t_max / (rho_cut * math.log(2.0)), P))  # any cut >= P takes every prime
 
-    out = None
+    out = np.ones(ts.size, dtype=np.complex128)
     series = np.zeros(CUMULANT_MAX_ORDER + 1)  # series[k] = c_k
     remainder = np.zeros(ts.size)
-    for ps, levels, plain in kept or _level_tables(f, P):
+    for ps, levels, plain in _level_tables(f, P):
         n0 = int(np.searchsorted(ps, P0, side="right"))
-        if out is None:
-            out = _exact_product(ts, levels, plain, n0)
-        elif n0:
+        if n0:
             out *= _exact_product(ts, levels, plain, n0)
-        m_p = np.log(plain)
         # chunks of CUMULANT_CHUNK primes run from the cut to the segment's end
         for a in range(n0, ps.size, CUMULANT_CHUNK):
             b = min(a + CUMULANT_CHUNK, ps.size)
@@ -317,7 +314,7 @@ def char_function(f: MultFunc, ts, P: int) -> CharFnProfile:
                            math.ceil(math.log(eps * (1.0 - rho)) / math.log(rho)) - 1))
             series[1:K + 1] += _chunk_log_series(levels, plain, a, b, K)
             q = np.abs(ts) / r_min
-            remainder += float(np.sum(m_p[a:b])) * q ** (K + 1) / (1.0 - q)
+            remainder += float(np.sum(np.log(plain[a:b]))) * q ** (K + 1) / (1.0 - q)
     log_tail = np.zeros(ts.size, dtype=np.complex128)
     z = 1j * ts
     for c in series[:0:-1]:  # Horner, ending on a factor z: exactly 0 at t = 0
@@ -396,33 +393,31 @@ def greedy_witness(f: MultFunc, v, u, p_cap: int = 100_000) -> int:
 
     Starting from m = 1 (ratio 1), multiply in the smallest prime p with
     f(p) != 0 whose inclusion keeps the exact ratio above v; stop as soon as
-    the ratio is <= u.  All comparisons are exact rational arithmetic.
+    the ratio is <= u.  All comparisons are exact integer arithmetic.
     Raises WitnessNotFound when primes up to p_cap do not suffice (a budget
     signal, not a correctness failure).
     """
     v, u = Fraction(v), Fraction(u)
     if not (0 <= v < u <= 1):
         raise ValueError("need 0 <= v < u <= 1")
-    ratio = Fraction(1)
-    m = 1
+    if u == 1:  # m = 1 has ratio 1
+        return 1
+    # the ratio is m/s with s = sigma(m), and the tests m p/(s (p+1)) > v and
+    # m/s <= u are cross-multiplied, all in Python ints
+    (v_num, v_den), (u_num, u_den) = v.as_integer_ratio(), u.as_integer_ratio()
+    m = s = 1
     fprod = complex(1.0)
-    if ratio <= u:  # only possible when u = 1
-        return m
     for ps in prime_segments(int(p_cap)):  # p_cap is checked here, before any prime is sieved
-        for p_, fp_ in zip(ps, f.at_primes(ps)):
-            p = int(p_)
-            fp = complex(fp_)
+        for p, fp in zip(ps.tolist(), f.at_primes(ps).tolist()):
             if fp == 0:
                 continue
-            cand = ratio * p / (p + 1)
-            if cand > v:
+            if m * p * v_den > v_num * s * (p + 1):
                 m *= p
-                ratio = cand
+                s *= p + 1
                 fprod *= fp
-                if ratio <= u:
+                if m * u_den <= u_num * s:
                     if not (abs(fprod.imag) < 1e-9 and fprod.real > 0):
                         raise WitnessNotFound(f"greedy product has f(m) = {fprod}, not positive")
                     return m
     raise WitnessNotFound(
         f"no witness in ({v}, {u}] with primes up to {p_cap}; increase p_cap")
-

@@ -12,7 +12,7 @@ from ddl.analytic import (CUMULANT_BUDGET, WitnessNotFound, _level_tables, _poli
                           char_function, continuity_diagnostic, greedy_witness, halasz_series,
                           mean_value_product, mertens_kappa, wirsing_prediction)
 from ddl.multfunc import MultFunc, make
-from ddl.sieve import PRIME_LIMIT, SEGMENT_SIZE, ResourceLimitError, primes_up_to
+from ddl.sieve import PRIME_LIMIT, SEGMENT_SIZE, ResourceLimitError, prime_segments, primes_up_to
 
 import oracles
 
@@ -173,9 +173,10 @@ def test_char_function_uniform_recurrence_matches_direct():
     assert np.allclose(one_each, prof_u.values, atol=5e-12)
 
 
-@pytest.mark.parametrize("spec", ["one", "tau", "r"])
+# phi_over_n_pow:re=-8,im=0 has the largest sum of log plain(p) in the catalog
+@pytest.mark.parametrize("spec", ["one", "tau", "r", "phi_over_n_pow:re=-8,im=0"])
 def test_char_function_matches_direct_product(spec):
-    f = make(spec)
+    f = ddl.parse_spec(spec)
     ts = np.array([-400.0, -37.5, -2.25, -0.3, 0.0, 0.05, 0.7, 3.1, 12.0,
                    55.5, 123.4, 250.0, 399.9, 400.0])
     prof = char_function(f, ts, 10 ** 5)
@@ -183,6 +184,19 @@ def test_char_function_matches_direct_product(spec):
     assert np.all(rem >= 0) and 0 < rem[-1] <= CUMULANT_BUDGET  # stated at t = 400
     direct = oracles.char_function_direct(f, ts, 10 ** 5)
     assert np.all(np.abs(prof.values - direct) <= rem + 1e-12)
+
+
+def test_char_function_reads_the_stream_once(monkeypatch):
+    calls = []
+
+    def counting(limit):
+        calls.append(limit)
+        return prime_segments(limit)
+
+    monkeypatch.setattr("ddl.analytic.prime_segments", counting)
+    with oracles.segment_size(64):  # P = 1000 spans eight segments
+        char_function(make("r"), [-2.5, 0.0, 40.0], 1000)
+    assert calls == [1000]
 
 
 def test_char_function_degenerate_cut_is_exact():
