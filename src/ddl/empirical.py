@@ -174,7 +174,10 @@ def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
     int64 arithmetic (_check_threshold_products).
     """
     D, lo, hi = tables
-    k = (n * D + sigma - 1) // sigma
+    k = n * D  # then ceil in place: no segment-sized temporary besides k
+    k += sigma
+    k -= 1
+    k //= sigma
     idx = np.take(lo, k)
     if hi is None:
         return idx

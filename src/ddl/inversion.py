@@ -7,10 +7,10 @@ The pointwise inversion is the half-line oscillatory integral
 
 evaluated by the trapezoid rule on the profile's t grid, in real form:
 Im(e^{-i t x0} psi) = cos(t x0) Im psi - sin(t x0) Re psi, so the sum is two
-real matrix-vector products.  The t -> 0 node is handled analytically: the
-integrand tends to m1 - x0, where m1 (the mean of the limiting law) is
-estimated from the first positive node as Im psi(h)/h.  This is the only
-quadrature.  The profile must be sampled on the quadrature grid itself:
+real matrix-vector products, taken one block of points at a time.  The
+t -> 0 node is handled analytically: the integrand tends to m1 - x0, where
+m1 (the mean of the limiting law) is estimated from the first positive node
+as Im psi(h)/h.  This is the only quadrature.  The profile must be sampled on the quadrature grid itself:
 profile.ts must begin k * step for k = 0..floor(T/step), which is what
 ``_quadrature_grid`` builds; nodes past that are not used, and ``invert``
 raises InversionError on any other grid.  The t >= 0 half is all it needs,
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import CharFnProfile
+from .analytic import EXACT_ELEMENTS, CharFnProfile
 from .empirical import WeightedCdfEstimate
 from .sieve import SIGMA_TABLE_BUDGET_BYTES, ResourceLimitError
 
@@ -81,9 +81,10 @@ def _t_nodes(count: int) -> int:
 
 def _quadrature_grid(T: float, step: float, n_points: int) -> np.ndarray:
     """The t grid the quadrature runs on, k*step for k = 0..floor(T/step).
-    An inversion at n_points points whose two real (points x positive nodes)
-    float64 matrices would pass SIGMA_TABLE_BUDGET_BYTES is refused before
-    the grid or either matrix is built."""
+    An inversion is refused, before the grid is built, when n_points times
+    the positive nodes passes SIGMA_TABLE_BUDGET_BYTES / 16, a cap on the
+    product's cost: the quadrature itself holds one block of at most
+    EXACT_ELEMENTS (point, node) pairs at a time."""
     if not (step > 0 and math.isfinite(T / step)):
         raise InversionError("T and step must be finite, with step > 0")
     m = int(math.floor(T / step + 1e-9))
@@ -116,12 +117,16 @@ def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
     w = np.full(pos_nodes.size, h)
     w[-1] = h / 2.0
 
-    # F = 1/2 - (1/pi) [ (h/2)(m1 - x0) + sum w Im(e^{-i t x0} psi)/t ];
-    # one real matrix X = t x0 is reused for the sine, which keeps the peak
-    # memory at two real (points x nodes) arrays
-    X = np.outer(points, pos_nodes)
-    quad = np.cos(X) @ (w * pos_vals.imag / pos_nodes)
-    quad -= np.sin(X, out=X) @ (w * pos_vals.real / pos_nodes)
+    # F = 1/2 - (1/pi) [ (h/2)(m1 - x0) + sum w Im(e^{-i t x0} psi)/t ],
+    # over blocks of points whose matrix X = t x0 holds at most EXACT_ELEMENTS;
+    # each row's sums are those of the whole matrix
+    im_w, re_w = w * pos_vals.imag / pos_nodes, w * pos_vals.real / pos_nodes
+    quad = np.empty(points.size)
+    rows = max(1, EXACT_ELEMENTS // pos_nodes.size)
+    for a in range(0, points.size, rows):
+        X = np.outer(points[a:a + rows], pos_nodes)
+        quad[a:a + rows] = np.cos(X) @ im_w
+        quad[a:a + rows] -= np.sin(X, out=X) @ re_w
     quad += (h / 2.0) * (m1 - points)
     raw = 0.5 - quad / math.pi
 

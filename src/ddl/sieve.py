@@ -13,15 +13,23 @@ exact because n <= SIEVE_LIMIT < 2^32, and so is the step below that adds 1
 to a leftover prime, since SIEVE_LIMIT + 1 < 2^32 as well.  The strided
 divisions then move half the bytes of int64.  Each prime's factors for the
 multiples of p, 1 + p + ... + p^j for sigma and f(p^j) for f, are slices of
-two scratch buffers of size // 2 + 1 allocated once per segment; they stay
-local to the call, because with workers > 1 segments run in threads at once.
-What is left in rem is 1 or one prime p above sqrt(hi).  sigma takes its
-factor 1 + p in one unmasked multiply by rem + (rem > 1), and Omega its
-count by adding rem > 1.  f's rule runs on every rem, 1 included, and one
-multiply masked by rem > 1 keeps its value at the leftover primes only; the
-value at 1 (0/0 for sigma_over_n) is computed with floating-point warnings
-off and discarded.  The values f(p^j) at the base primes are computed once
-per scan, one vectorized call per level j, and shared by every segment.
+two scratch buffers of size // 2 + 1.  What is left in rem is 1 or one
+prime p above sqrt(hi).  sigma takes its factor 1 + p in one unmasked
+multiply by rem + (rem > 1), and Omega its count by adding rem > 1.  f's
+rule runs on every rem, 1 included, 2^16 n at a time, and one multiply
+masked by rem > 1 keeps its value at the leftover primes only; the value at
+1 (0/0 for sigma_over_n) is computed with floating-point warnings off and
+discarded.  The values f(p^j) at the base primes are computed once per
+scan, one vectorized call per level j, and shared by every segment.
+
+Each scan owns its per-segment memory: n, sigma, rem, the two scratch
+buffers, f and Omega form one buffer set, allocated once per scan for
+SEGMENT_SIZE n.  A serial scan computes every segment in one set, moving n
+on in place; with workers > 1 a ring of workers + 2 sets serves the
+workers + 1 segments pending and the one handed out.  Either way a set is
+reused only once the caller has asked for the next chunk, so a chunk's
+arrays, read-only views of its set, are valid until then, and no segment's
+arrays outlive its reduction.  A cache hit is read into the set's sigma.
 
 Primes come from prime_segments, a segmented sieve of Eratosthenes over
 the odd numbers (slot i stands for 2i + 1) that hands them out as a stream,
@@ -56,6 +64,7 @@ import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 from pathlib import Path
 
@@ -200,27 +209,59 @@ def _prime_power_table(primes, fdesc, x):
         pw = pw[:cnt] * primes[:cnt]
 
 
-def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
-    """Core per-segment pass: sigma, f values and Omega over [lo, hi].
+class _SegmentBuffers:
+    """The arrays a segment is computed in, allocated once per scan for its
+    first (longest) segment and reused for every segment the scan gives them;
+    a shorter last segment uses their first hi - lo + 1 entries.  n holds
+    the last segment computed here and is moved in place to the next one.
+    geo and fp take one factor per multiple of a base prime p, the most
+    being (size + 1) // 2 for p = 2."""
+
+    def __init__(self, size, fdesc, want_omega):
+        self.n = np.arange(1, size + 1, dtype=np.int64)
+        self.sigma = np.empty(size, dtype=np.int64)
+        self.rem = np.empty(size, dtype=np.uint32)
+        self.geo = None  # allocated when sigma is first sieved, not read from the cache
+        self.fv = self.fp = None
+        if fdesc is not None:
+            dtype = np.complex128 if fdesc.complex_valued else np.float64
+            self.fv = np.empty(size, dtype=dtype)
+            self.fp = np.empty(size // 2 + 1, dtype=dtype)
+        self.om = np.empty(size, dtype=np.int16) if want_omega else None
+
+
+# f at the leftover primes is evaluated this many n at a time, so its int64
+# copy of rem and its result stay small next to the segment's own arrays
+_F_BLOCK = 1 << 16
+
+
+def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, buf, sigma_known=False):
+    """Core per-segment pass: sigma, f values and Omega over [lo, hi], computed
+    in buf (a _SegmentBuffers) and returned as views of it.
 
     fpow is the scan's f(p^j) table (_prime_power_table); fdesc's rule gives
-    f at the prime left over above sqrt(hi)."""
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    size = n.size
-    need_sigma = sigma_known is None
-    sigma = np.ones(size, dtype=np.int64) if need_sigma else sigma_known
-    fv = None
+    f at the prime left over above sqrt(hi).  sigma_known says that
+    buf.sigma already holds sigma over [lo, hi] (read from the cache)."""
+    size = hi - lo + 1
+    if buf.n[0] != lo:
+        buf.n += lo - int(buf.n[0])
+    n, sigma = buf.n[:size], buf.sigma[:size]
+    need_sigma = not sigma_known
+    if need_sigma:
+        sigma.fill(1)
+    fv = om = None
     if fdesc is not None:
-        fv = np.ones(size, dtype=np.complex128 if fdesc.complex_valued else np.float64)
-    om = np.zeros(size, dtype=np.int16) if want_omega else None
+        fv = buf.fv[:size]
+        fv.fill(1)
+    if want_omega:
+        om = buf.om[:size]
+        om.fill(0)
 
     if need_sigma or fdesc is not None or want_omega:
-        rem = n.astype(np.uint32)  # n <= SIEVE_LIMIT < 2^32
-        # one factor per multiple of p, the most being (size + 1) // 2 for p = 2
-        if need_sigma:
-            geo_buf = np.empty(size // 2 + 1, dtype=np.int64)
-        if fdesc is not None:
-            fp_buf = np.empty(size // 2 + 1, dtype=fv.dtype)
+        rem = buf.rem[:size]
+        rem[...] = n  # n <= SIEVE_LIMIT < 2^32
+        if need_sigma and buf.geo is None:
+            buf.geo = np.empty(buf.n.size // 2 + 1, dtype=np.int64)
         for i, p in enumerate(primes.tolist()):
             if p * p > hi:
                 break
@@ -229,10 +270,10 @@ def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
                 continue
             cnt = (size - 1 - s1) // p + 1
             if need_sigma:
-                geo = geo_buf[:cnt]
+                geo = buf.geo[:cnt]
                 geo.fill(1 + p)
             if fdesc is not None:
-                fp = fp_buf[:cnt]
+                fp = buf.fp[:cnt]
                 fp.fill(fpow[0][i])
             rem[s1::p] //= p
             if want_omega:
@@ -263,9 +304,13 @@ def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
         if want_omega:
             om += big
         if fdesc is not None:
-            # the rule's value at rem = 1 (0/0 for sigma_over_n) is dropped by the mask
+            # the rule's value at rem = 1 (0/0 for sigma_over_n) is dropped by the
+            # mask; elementwise, so the blocks give the values of one call
             with np.errstate(all="ignore"):
-                np.multiply(fv, fdesc.at_primes(rem), out=fv, where=big)
+                for a in range(0, size, _F_BLOCK):
+                    b = a + _F_BLOCK
+                    np.multiply(fv[a:b], fdesc.at_primes(rem[a:b]), out=fv[a:b],
+                                where=big[a:b])
         if need_sigma:
             rem += big  # 1 + p for a leftover prime p, and 1 where rem = 1; p + 1 < 2^32
             sigma *= rem
@@ -274,7 +319,8 @@ def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known=None):
 
 @dataclass(frozen=True)
 class ScanChunk:
-    """One segment's worth of per-n data handed to accumulators."""
+    """One segment's worth of per-n data handed to accumulators, as read-only
+    views valid until the next chunk is asked for (scan_segments)."""
     lo: int
     hi: int
     n: np.ndarray        # int64
@@ -306,10 +352,12 @@ def write_segment_cache(cache_dir, lo: int, hi: int, sigma: np.ndarray) -> Path:
     return path
 
 
-def read_segment_cache(cache_dir, lo: int, hi: int) -> np.ndarray | None:
-    """Load a cached sigma table; None when absent, of another version or
-    damaged (bad header, length or payload checksum), so the caller sieves
-    the segment again.  Never raises."""
+def read_segment_cache(cache_dir, lo: int, hi: int, out: np.ndarray | None = None
+                       ) -> np.ndarray | None:
+    """Load a cached sigma table, into out (hi - lo + 1 contiguous int64) when
+    given; None when absent, of another version or damaged (bad header,
+    length or payload checksum), so the caller sieves the segment again.
+    out's contents are then undefined.  Never raises."""
     path = _cache_path(cache_dir, lo, hi)
     try:
         with open(path, "rb") as fh:
@@ -319,7 +367,7 @@ def read_segment_cache(cache_dir, lo: int, hi: int) -> np.ndarray | None:
             magic, version, clo, chi, crc = _CACHE_HEADER.unpack(head)
             if magic != CACHE_MAGIC or version != CACHE_VERSION or clo != lo or chi != hi:
                 return None
-            sigma = np.empty(hi - lo + 1, dtype=np.int64)
+            sigma = np.empty(hi - lo + 1, dtype=np.int64) if out is None else out
             if fh.readinto(sigma) != sigma.nbytes or fh.read(1):
                 return None
     except OSError:
@@ -329,10 +377,16 @@ def read_segment_cache(cache_dir, lo: int, hi: int) -> np.ndarray | None:
     return sigma
 
 
-def _scan_one(lo, hi, primes, fdesc, fpow, want_omega, cache_dir):
-    sigma_known = read_segment_cache(cache_dir, lo, hi) if cache_dir else None
-    n, sigma, fv, om = _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, sigma_known)
-    return ScanChunk(lo, hi, n, sigma, fv, om)
+def _scan_one(lo, hi, primes, fdesc, fpow, want_omega, cache_dir, buf):
+    # out goes positionally, so a wrapper taking the read's arguments as *args
+    # passes it on
+    known = bool(cache_dir) and read_segment_cache(cache_dir, lo, hi,
+                                                   buf.sigma[:hi - lo + 1]) is not None
+    arrays = _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, buf, known)
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return ScanChunk(lo, hi, *arrays)
 
 
 def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False,
@@ -344,6 +398,10 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
     chunk sequence is identical for any worker count and cache state.
     cache_dir = None reads no cache; otherwise each segment's sigma is read
     from cache_dir when a valid file for its exact bounds is there.
+
+    A chunk's arrays are read-only views of buffers the scan reuses.  They
+    are valid until the next chunk is asked for, so a caller reduces or
+    copies each chunk before it asks for the next one.
     """
     x = int(x)
     _check_bounds(1, x)
@@ -352,26 +410,28 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
     fdesc = None if (f is None or f.is_one) else f
     primes = primes_up_to(isqrt(x))
     fpow = _prime_power_table(primes, fdesc, x)
-    bounds = [(lo, min(lo + SEGMENT_SIZE - 1, x)) for lo in range(1, x + 1, SEGMENT_SIZE)]
+    size = SEGMENT_SIZE
+    bounds = [(lo, min(lo + size - 1, x)) for lo in range(1, x + 1, size)]
+    # Segment i is computed in buffer set i % ring.  Serially one set serves
+    # every segment.  The pool holds workers + 1 segments pending besides the
+    # one yielded, and submits segment i + workers + 1 only when the caller
+    # asks for chunk i, so the set it takes is that of chunk i - 1.
+    ring = 1 if workers == 1 else workers + 2
+    sets = [_SegmentBuffers(min(size, x), fdesc, with_omega)
+            for _ in range(min(ring, len(bounds)))]
+    jobs = ((lo, hi, primes, fdesc, fpow, with_omega, cache_dir, sets[i % ring])
+            for i, (lo, hi) in enumerate(bounds))
     if workers == 1:
-        for lo, hi in bounds:
-            yield _scan_one(lo, hi, primes, fdesc, fpow, with_omega, cache_dir)
+        for job in jobs:
+            yield _scan_one(*job)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        it = iter(bounds)
-        for _ in range(workers + 1):
-            b = next(it, None)
-            if b is None:
-                break
-            pending.append(pool.submit(_scan_one, b[0], b[1], primes, fdesc, fpow, with_omega,
-                                       cache_dir))
+        pending = deque(pool.submit(_scan_one, *job) for job in islice(jobs, workers + 1))
         while pending:
             fut = pending.popleft()
-            b = next(it, None)
-            if b is not None:
-                pending.append(pool.submit(_scan_one, b[0], b[1], primes, fdesc, fpow,
-                                           with_omega, cache_dir))
+            job = next(jobs, None)
+            if job is not None:
+                pending.append(pool.submit(_scan_one, *job))
             yield fut.result()
 
 

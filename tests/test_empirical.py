@@ -1,6 +1,7 @@
 """Empirical estimators against naive per-n oracles and known densities."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -361,6 +362,25 @@ def test_estimate_segment_and_worker_invariance():
     with oracles.segment_size(16384):
         b = estimate_weighted_cdf(make("tau"), 50000, grid, workers=3)
     assert np.array_equal(a.raw, b.raw)
+
+
+def test_scan_memory_per_segment_slot():
+    # a scan computes every segment in one set of buffers and keeps no chunk
+    # past its reduction.  Held per slot: n, sigma and f (32 bytes), the
+    # cofactor and the two per-prime scratch halves (16); while a chunk is
+    # reduced, the bucket index and the grid index (16) and a bincount weight
+    # copy (8).
+    size = 2 ** 14
+    f = parse_spec("lambda:a=1,q=3")
+    with oracles.segment_size(size):
+        estimate_weighted_cdf(f, 40 * size)  # the first call's set-up is not counted
+        tracemalloc.start()
+        try:
+            estimate_weighted_cdf(f, 40 * size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 80 * size
 
 
 PROPERTY_X = 3000

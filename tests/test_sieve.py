@@ -1,5 +1,6 @@
 """Sieve correctness: exact sigma tables and segment scans against independent oracles."""
 
+import time
 from math import isqrt
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from ddl.multfunc import catalog_ids, make, parse_spec
 from ddl.sieve import (PRIME_LIMIT, ResourceLimitError, SEGMENT_SIZE, SIEVE_LIMIT, SieveError,
-                       _prime_power_table, _segment_tables, prime_segments, primes_up_to,
-                       read_segment_cache, scan_segments, sigma_table, write_segment_cache)
+                       _SegmentBuffers, _prime_power_table, _segment_tables, prime_segments,
+                       primes_up_to, read_segment_cache, scan_segments, sigma_table,
+                       write_segment_cache)
 
 import oracles
 
@@ -148,6 +150,49 @@ def test_worker_count_does_not_change_results():
     assert seq == par
 
 
+def test_buffer_ring_gives_identical_sums(tmp_path):
+    # 24 segments through rings of 1, 4 and 5 buffer sets, with sigma read
+    # from the cache for every other segment and sieved for the rest.  Each
+    # chunk is summed when it comes and again after the pool's threads have
+    # run on: a set taken for a new segment before the caller asked for the
+    # next chunk would change the second sums.
+    size, x = 4096, 24 * 4096 - 100
+    f = parse_spec("lambda:a=1,q=3")
+    sigma = oracles.sigma_table_brute(x)
+
+    def sums(c):
+        return (c.lo, int(c.n.sum()), int(c.sigma.sum()), complex(c.fvals.sum()),
+                complex((c.fvals * c.omega).sum()))
+
+    with oracles.segment_size(size):
+        for k, chunk in enumerate(scan_segments(x)):
+            if k % 2:
+                write_segment_cache(tmp_path, chunk.lo, chunk.hi, chunk.sigma)
+        runs = {}
+        for workers in (1, 2, 3):
+            runs[workers] = []
+            for c in scan_segments(x, f=f, with_omega=True, workers=workers,
+                                   cache_dir=str(tmp_path)):
+                first = sums(c)
+                time.sleep(0.002)
+                assert sums(c) == first, (workers, c.lo)
+                assert first[2] == int(sigma[c.lo:c.hi + 1].sum()), (workers, c.lo)
+                runs[workers].append(first)
+    assert len(runs[1]) == 24 and runs[1][-1][0] == 23 * size + 1
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_arrays_are_read_only(workers):
+    # a chunk's arrays are views of buffers the scan reuses, so no caller may write them
+    with oracles.segment_size(1000):
+        for chunk in scan_segments(2500, f=make("tau"), with_omega=True, workers=workers):
+            for a in (chunk.n, chunk.sigma, chunk.fvals, chunk.omega):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+
 def test_omega_values():
     for chunk in scan_segments(5000, with_omega=True):
         for k in range(0, chunk.n.size, 19):
@@ -169,27 +214,28 @@ def test_scan_tables_against_brute(tmp_path, spec, cached):
             cache_dir = str(tmp_path)
             for chunk in scan_segments(x):
                 write_segment_cache(tmp_path, chunk.lo, chunk.hi, chunk.sigma)
-        chunks = list(scan_segments(x, f=f, with_omega=True, cache_dir=cache_dir))
-    assert [c.lo for c in chunks] == list(range(1, x + 1, size))
-    kinds = set()
-    for c in chunks:
-        for k, n in enumerate(c.n.tolist()):
-            fac = oracles.factor_brute(n)
-            if n == 1:
-                kinds.add("one")
-            elif fac[-1][0] > isqrt(c.hi):
-                kinds.add("leftover prime")
-            else:
-                kinds.add("rem = 1")
-            assert int(c.sigma[k]) == oracles.sigma_brute(n), n
-            assert int(c.omega[k]) == oracles.omega_big_brute(n), n
-            if spec == "tau":
-                assert c.fvals[k] == np.prod([j + 1 for _, j in fac]), n
-            elif spec == "phi_over_n":
-                phi_ratio = np.prod([1 - 1 / q for q, _ in fac])
-                assert c.fvals[k] == pytest.approx(phi_ratio, rel=1e-13), n
-            else:
-                assert abs(c.fvals[k] - oracles.lambda_brute(n, 1, 3)) < 1e-12, n
+        # a chunk is valid until the next one is asked for: check each as it comes
+        los, kinds = [], set()
+        for c in scan_segments(x, f=f, with_omega=True, cache_dir=cache_dir):
+            los.append(c.lo)
+            for k, n in enumerate(c.n.tolist()):
+                fac = oracles.factor_brute(n)
+                if n == 1:
+                    kinds.add("one")
+                elif fac[-1][0] > isqrt(c.hi):
+                    kinds.add("leftover prime")
+                else:
+                    kinds.add("rem = 1")
+                assert int(c.sigma[k]) == oracles.sigma_brute(n), n
+                assert int(c.omega[k]) == oracles.omega_big_brute(n), n
+                if spec == "tau":
+                    assert c.fvals[k] == np.prod([j + 1 for _, j in fac]), n
+                elif spec == "phi_over_n":
+                    phi_ratio = np.prod([1 - 1 / q for q, _ in fac])
+                    assert c.fvals[k] == pytest.approx(phi_ratio, rel=1e-13), n
+                else:
+                    assert abs(c.fvals[k] - oracles.lambda_brute(n, 1, 3)) < 1e-12, n
+    assert los == list(range(1, x + 1, size))
     assert kinds == {"one", "leftover prime", "rem = 1"}
 
 
@@ -198,7 +244,8 @@ def test_segment_tables_at_sieve_limit():
     # SIEVE_LIMIT; a leftover prime near 4e9 plus 1 still fits the uint32 cofactor
     lo, hi = SIEVE_LIMIT - 4095, SIEVE_LIMIT
     primes = primes_up_to(isqrt(hi))
-    n, sigma, _, _ = _segment_tables(lo, hi, primes, None, None, False)
+    n, sigma, _, _ = _segment_tables(lo, hi, primes, None, None, False,
+                                     _SegmentBuffers(hi - lo + 1, None, False))
     assert np.array_equal(n, np.arange(lo, hi + 1))
     # the primes among the last 100 n, by trial division: their leftover is n itself
     prime_ks = [m - lo for m in range(hi - 99, hi + 1) if oracles.factor_brute(m) == [(m, 1)]]
@@ -212,7 +259,7 @@ def test_segment_tables_at_sieve_limit():
     for spec in ("tau", "phi_over_n", "r"):
         f = make(spec)
         _, sigma_f, fv, om = _segment_tables(lo, hi, primes, f, _prime_power_table(primes, f, hi),
-                                             True)
+                                             True, _SegmentBuffers(hi - lo + 1, f, True))
         assert np.array_equal(sigma_f, sigma)
         for k, fac in facs.items():
             m = int(n[k])
@@ -256,15 +303,17 @@ def test_scan_f_values_over_catalog(tmp_path, f, cached):
             cache_dir = str(tmp_path)
             for chunk in scan_segments(x):
                 write_segment_cache(tmp_path, chunk.lo, chunk.hi, chunk.sigma)
-        chunks = list(scan_segments(x, f=f, cache_dir=cache_dir))
-    assert len(chunks) == 5
-    for c in chunks:
-        want = np.array([complex(oracles.evaluate(f, n)) for n in c.n.tolist()])
-        if f.is_one:
-            assert c.fvals is None and np.all(want == 1)
-            continue
-        assert c.fvals.dtype == (np.complex128 if f.complex_valued else np.float64)
-        np.testing.assert_allclose(c.fvals, want, rtol=1e-12, atol=0)
+        # a chunk is valid until the next one is asked for: check each as it comes
+        count = 0
+        for c in scan_segments(x, f=f, cache_dir=cache_dir):
+            count += 1
+            want = np.array([complex(oracles.evaluate(f, n)) for n in c.n.tolist()])
+            if f.is_one:
+                assert c.fvals is None and np.all(want == 1)
+                continue
+            assert c.fvals.dtype == (np.complex128 if f.complex_valued else np.float64)
+            np.testing.assert_allclose(c.fvals, want, rtol=1e-12, atol=0)
+    assert count == 5
 
 
 def test_cache_round_trip(tmp_path):
@@ -275,9 +324,10 @@ def test_cache_round_trip(tmp_path):
     assert read_segment_cache(tmp_path, 1, 9999) is None
     # scan with the cache produces identical tables
     with oracles.segment_size(4096):
-        direct = list(scan_segments(4096))
-        cached = list(scan_segments(4096, cache_dir=str(tmp_path)))
-    assert np.array_equal(direct[0].sigma, cached[0].sigma)
+        direct = [c.sigma.copy() for c in scan_segments(4096)]
+        cached = [c.sigma.copy() for c in scan_segments(4096, cache_dir=str(tmp_path))]
+    assert len(direct) == len(cached) == 1
+    assert np.array_equal(direct[0], cached[0])
     # corrupt header is ignored, not fatal
     path = tmp_path / "sigma_1_4096.sgma"
     raw = bytearray(path.read_bytes())
