@@ -11,7 +11,7 @@ the sieve against the analytic prediction.
 __version__ = "0.1.0"
 
 from .multfunc import CatalogError, MultFunc, catalog_ids, make, parse_spec
-from .sieve import ResourceLimitError, SieveError, primes_up_to, scan_segments
+from .sieve import ResourceLimitError, SieveError, scan_segments
 from .empirical import (EquidistTally, GridError, ThresholdGrid,
                         WeightedCdfEstimate, equidist_tally,
                         estimate_normalized_cdf, estimate_weighted_cdf,

@@ -337,8 +337,6 @@ def mertens_kappa(f: MultFunc, x: float) -> tuple[float, float]:
     for ps in prime_segments(x):
         pf = ps.astype(np.float64)
         fp = f.at_primes(ps)
-        if not f.complex_valued:
-            fp = fp.real
         weighted += np.sum(fp * np.log(pf) / pf)
         recip += np.sum(fp / pf)
     return float(weighted.real) / math.log(x), float(recip.real)

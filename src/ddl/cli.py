@@ -206,34 +206,34 @@ def _cmd_catalog(args):
 
 
 def _cmd_sieve_cache(args):
-    cache_dir = args.dir or os.environ.get(CACHE_ENV_VAR)
+    cache_dir = args.dir or _cache_dir()
     if not cache_dir:
         raise SieveError(f"no cache directory: pass --dir or set {CACHE_ENV_VAR}")
     written = []
     # sieves every segment: an existing cache is never copied into a new one
-    for chunk in scan_segments(args.x, workers=args.workers):
+    for chunk in scan_segments(args.x):
         written.append(str(write_segment_cache(cache_dir, chunk.lo, chunk.hi, chunk.sigma)))
     return {"written": written}
 
 
-def _common_kwargs(args):
-    return {"workers": args.workers, "cache_dir": os.environ.get(CACHE_ENV_VAR) or None}
+def _cache_dir():
+    return os.environ.get(CACHE_ENV_VAR) or None
 
 
 def _cmd_estimate(args):
     f = parse_spec(args.f)
     grid = ThresholdGrid.parse(args.grid)
     fn = estimate_weighted_cdf if args.mode == "df" else estimate_normalized_cdf
-    return fn(f, args.x, grid, **_common_kwargs(args))
+    return fn(f, args.x, grid, cache_dir=_cache_dir())
 
 
 def _cmd_lattice(args):
     grid = ThresholdGrid.parse(args.grid)
-    return lattice_circle_cdf(args.R, grid, **_common_kwargs(args))
+    return lattice_circle_cdf(args.R, grid, cache_dir=_cache_dir())
 
 
 def _cmd_equidist(args):
-    tally = equidist_tally(args.mode, args.q, args.u, args.x, **_common_kwargs(args))
+    tally = equidist_tally(args.mode, args.q, args.u, args.x, cache_dir=_cache_dir())
     return {
         "mode": tally.mode, "q": tally.q,
         "u": {"num": tally.u.numerator, "den": tally.u.denominator},
@@ -247,13 +247,13 @@ def _cmd_equidist(args):
 
 def _cmd_smoothed(args):
     f = parse_spec(args.f)
-    val = smoothed_indicator_mean(f, args.x, args.u, args.m, **_common_kwargs(args))
+    val = smoothed_indicator_mean(f, args.x, args.u, args.m, cache_dir=_cache_dir())
     return {"value_re": val.real, "value_im": val.imag}
 
 
 def _cmd_psum_check(args):
     f = parse_spec(args.f)
-    lhs, rhs = partial_summation_check(f, args.x, args.u, **_common_kwargs(args))
+    lhs, rhs = partial_summation_check(f, args.x, args.u, cache_dir=_cache_dir())
     return {"lhs_re": lhs.real, "lhs_im": lhs.imag,
             "rhs_re": rhs.real, "rhs_im": rhs.imag,
             "abs_difference": abs(lhs - rhs)}
@@ -325,7 +325,7 @@ def _cmd_compare(args):
     ts = _quadrature_grid(args.T, args.step, logs.size)  # all refusals come before the sieve runs
     if logs.size == 0:
         raise GridError("compare needs a grid with a threshold u > 0")
-    est = estimate_weighted_cdf(f, args.x, grid, **_common_kwargs(args))
+    est = estimate_weighted_cdf(f, args.x, grid, cache_dir=_cache_dir())
     prof = char_function(f, ts, args.P)
     inv = invert(prof, logs, T=args.T, step=args.step)
     cmpres = sup_distance(est, inv)
@@ -346,7 +346,6 @@ _X = ("--x", {"type": _int_arg, "required": True})
 _P = ("--P", {"type": _int_arg, "required": True})
 _U = ("--u", {"type": _fraction_arg, "required": True})
 _GRID = ("--grid", {"default": "default"})
-_WORKERS = ("--workers", {"type": int, "default": 1})
 _PLOT = (("--format", {"choices": ("csv", "json"), "default": "csv"}),
          ("--gnuplot", {"action": "store_true"}))
 _QUADRATURE = (("--T", {"type": float, "default": DEFAULT_T}),
@@ -359,20 +358,19 @@ _QUADRATURE = (("--T", {"type": float, "default": DEFAULT_T}),
 COMMANDS = {
     "catalog": (_cmd_catalog, "list the multiplicative-function catalog", ()),
     "sieve-cache": (_cmd_sieve_cache, "precompute binary sigma caches",
-                    (_X, ("--dir", {"help": f"cache directory (default: {CACHE_ENV_VAR})"}),
-                     _WORKERS)),
+                    (_X, ("--dir", {"help": f"cache directory (default: {CACHE_ENV_VAR})"}))),
     "estimate": (_cmd_estimate, "weighted distribution of n/sigma(n)",
                  (_F, _X, ("--mode", {"choices": ("df", "dtilde"), "default": "df"}),
-                  _GRID, *_PLOT, _WORKERS)),
+                  _GRID, *_PLOT)),
     "lattice": (_cmd_lattice, "two-squares lattice-point distribution",
-                (("--R", {"type": _int_arg, "required": True}), _GRID, *_PLOT, _WORKERS)),
+                (("--R", {"type": _int_arg, "required": True}), _GRID, *_PLOT)),
     "equidist": (_cmd_equidist, "equidistribution tallies of qualifying n",
                  (("--mode", {"choices": ("omega", "coprime"), "required": True}),
-                  ("--q", {"type": int, "required": True}), _U, _X, _WORKERS)),
+                  ("--q", {"type": int, "required": True}), _U, _X)),
     "smoothed": (_cmd_smoothed, "tent-smoothed indicator mean",
-                 (_F, _X, _U, ("--m", {"type": int, "required": True}), _WORKERS)),
+                 (_F, _X, _U, ("--m", {"type": int, "required": True}))),
     "psum-check": (_cmd_psum_check, "partial-summation identity check",
-                   (_F, _X, _U, _WORKERS)),
+                   (_F, _X, _U)),
     "analytic": ({
         "mean": (_op_mean, None, (_F, _P)),
         "wirsing": (_op_wirsing, None, (_F, _X, ("--P", {"type": _int_arg, "default": None}))),
@@ -388,7 +386,7 @@ COMMANDS = {
     "invert": (_cmd_invert, "invert the characteristic-function product",
                (_F, _P, *_QUADRATURE, ("--points", {"default": "log-default"}))),
     "compare": (_cmd_compare, "sieve CDF vs. inverted characteristic function",
-                (_F, _X, _P, *_QUADRATURE, _GRID, _WORKERS)),
+                (_F, _X, _P, *_QUADRATURE, _GRID)),
 }
 
 

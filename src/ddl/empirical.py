@@ -20,9 +20,8 @@ Every statistic is one pass of _scan_sum: a reducer maps each scan chunk to
 its weighted sum of f(n) w(n), binned by np.bincount or plain by np.sum,
 through the one rule _weighted_sum, and the chunk sums are added in segment
 order.  f = 1 sums, the lattice count among them, are exact int64 counts.
-Each estimator takes the scan keywords workers and cache_dir of
-sieve.scan_segments; no result depends on them, since the segments and their
-order are fixed by x.
+Each estimator takes the scan keyword cache_dir of sieve.scan_segments; no
+result depends on it, since the segments and their order are fixed by x.
 """
 
 from __future__ import annotations

@@ -24,12 +24,11 @@ scan, one vectorized call per level j, and shared by every segment.
 
 Each scan owns its per-segment memory: n, sigma, rem, the two scratch
 buffers, f and Omega form one buffer set, allocated once per scan for
-SEGMENT_SIZE n.  A serial scan computes every segment in one set, moving n
-on in place; with workers > 1 a ring of workers + 2 sets serves the
-workers + 1 segments pending and the one handed out.  Either way a set is
-reused only once the caller has asked for the next chunk, so a chunk's
-arrays, read-only views of its set, are valid until then, and no segment's
-arrays outlive its reduction.  A cache hit is read into the set's sigma.
+SEGMENT_SIZE n.  The scan computes every segment in that set, moving n on
+in place, and computes the next segment only once the caller has asked for
+the next chunk, so a chunk's arrays, read-only views of the set, are valid
+until then, and no segment's arrays outlive its reduction.  A cache hit is
+read into the set's sigma.
 
 Primes come from prime_segments, a segmented sieve of Eratosthenes over
 the odd numbers (slot i stands for 2i + 1) that hands them out as a stream,
@@ -45,14 +44,12 @@ scan its base primes (sqrt x) and the stream its own.
 [1, x] is cut into segments of the fixed length SEGMENT_SIZE, so every scan
 up to x has the same layout.  At 2^20 a segment's int64 arrays take 8 MB
 each, which keeps the strided passes close to cache; a smaller size would
-run the Python loop over the base primes more often per n.  Segments are
-independent work units; with workers > 1 they are computed by a thread pool
-and merged in segment order, so results do not depend on the worker count.
-A sigma cache is used only when the caller names its directory; cache files
-are keyed by exact segment bounds, so every full segment is shared by all
-scans that reach it, and the last, partial segment only by scans to the
-same x.  Each file carries a crc32 of its payload; a file that fails it is
-ignored and the segment is sieved again.
+run the Python loop over the base primes more often per n.  A sigma cache
+is used only when the caller names its directory; cache files are keyed by
+exact segment bounds, so every full segment is shared by all scans that
+reach it, and the last, partial segment only by scans to the same x.  Each
+file carries a crc32 of its payload; a file that fails it is ignored and
+the segment is sieved again.
 """
 
 from __future__ import annotations
@@ -61,10 +58,7 @@ import math
 import os
 import struct
 import zlib
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from math import isqrt
 from pathlib import Path
 
@@ -119,7 +113,7 @@ SIGMA_TABLE_BUDGET_BYTES = 2_000_000_000
 
 
 class SieveError(ValueError):
-    """Invalid sieve request (bounds, worker count, cache directory)."""
+    """Invalid sieve request (bounds, cache directory)."""
 
 
 class ResourceLimitError(SieveError):
@@ -377,27 +371,15 @@ def read_segment_cache(cache_dir, lo: int, hi: int, out: np.ndarray | None = Non
     return sigma
 
 
-def _scan_one(lo, hi, primes, fdesc, fpow, want_omega, cache_dir, buf):
-    # out goes positionally, so a wrapper taking the read's arguments as *args
-    # passes it on
-    known = bool(cache_dir) and read_segment_cache(cache_dir, lo, hi,
-                                                   buf.sigma[:hi - lo + 1]) is not None
-    arrays = _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, buf, known)
-    for a in arrays:
-        if a is not None:
-            a.flags.writeable = False
-    return ScanChunk(lo, hi, *arrays)
-
-
 def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False,
-                  workers: int = 1, cache_dir: str | None = None):
+                  cache_dir: str | None = None):
     """Yield ScanChunk objects covering [1, x] in order, one per segment of
     SEGMENT_SIZE (read when the first chunk is asked for).
 
     f = None (or the constant-1 entry) skips the f-evaluation pass.  The
-    chunk sequence is identical for any worker count and cache state.
-    cache_dir = None reads no cache; otherwise each segment's sigma is read
-    from cache_dir when a valid file for its exact bounds is there.
+    chunk sequence is identical for any cache state.  cache_dir = None reads
+    no cache; otherwise each segment's sigma is read from cache_dir when a
+    valid file for its exact bounds is there.
 
     A chunk's arrays are read-only views of buffers the scan reuses.  They
     are valid until the next chunk is asked for, so a caller reduces or
@@ -405,37 +387,25 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
     """
     x = int(x)
     _check_bounds(1, x)
-    if workers < 1:
-        raise SieveError("workers must be >= 1")
     fdesc = None if (f is None or f.is_one) else f
     primes = primes_up_to(isqrt(x))
     fpow = _prime_power_table(primes, fdesc, x)
     size = SEGMENT_SIZE
-    bounds = [(lo, min(lo + size - 1, x)) for lo in range(1, x + 1, size)]
-    # Segment i is computed in buffer set i % ring.  Serially one set serves
-    # every segment.  The pool holds workers + 1 segments pending besides the
-    # one yielded, and submits segment i + workers + 1 only when the caller
-    # asks for chunk i, so the set it takes is that of chunk i - 1.
-    ring = 1 if workers == 1 else workers + 2
-    sets = [_SegmentBuffers(min(size, x), fdesc, with_omega)
-            for _ in range(min(ring, len(bounds)))]
-    jobs = ((lo, hi, primes, fdesc, fpow, with_omega, cache_dir, sets[i % ring])
-            for i, (lo, hi) in enumerate(bounds))
-    if workers == 1:
-        for job in jobs:
-            yield _scan_one(*job)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(_scan_one, *job) for job in islice(jobs, workers + 1))
-        while pending:
-            fut = pending.popleft()
-            job = next(jobs, None)
-            if job is not None:
-                pending.append(pool.submit(_scan_one, *job))
-            yield fut.result()
+    buf = _SegmentBuffers(min(size, x), fdesc, with_omega)
+    for lo in range(1, x + 1, size):
+        hi = min(lo + size - 1, x)
+        # out goes positionally, so a wrapper taking the read's arguments as
+        # *args passes it on
+        known = bool(cache_dir) and read_segment_cache(cache_dir, lo, hi,
+                                                       buf.sigma[:hi - lo + 1]) is not None
+        arrays = _segment_tables(lo, hi, primes, fdesc, fpow, with_omega, buf, known)
+        for a in arrays:
+            if a is not None:
+                a.flags.writeable = False
+        yield ScanChunk(lo, hi, *arrays)
 
 
-def sigma_table(x: int, *, workers: int = 1, cache_dir: str | None = None) -> np.ndarray:
+def sigma_table(x: int, *, cache_dir: str | None = None) -> np.ndarray:
     """Exact sigma(n) for 0 <= n <= x as one int64 array (sigma[0] = 0).
     No statistic uses it; its callers are the tests and the benchmark tracer."""
     x = int(x)
@@ -446,6 +416,6 @@ def sigma_table(x: int, *, workers: int = 1, cache_dir: str | None = None) -> np
             f"sigma table for x = {x} needs {need / 1e9:.1f} GB, "
             f"over the {SIGMA_TABLE_BUDGET_BYTES / 1e9:.1f} GB budget")
     out = np.zeros(x + 1, dtype=np.int64)
-    for chunk in scan_segments(x, workers=workers, cache_dir=cache_dir):
+    for chunk in scan_segments(x, cache_dir=cache_dir):
         out[chunk.lo: chunk.hi + 1] = chunk.sigma
     return out

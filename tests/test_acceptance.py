@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import ddl
 from ddl.analytic import (char_function, continuity_diagnostic, greedy_witness,
                           mean_value_product, wirsing_prediction)
 from ddl.empirical import (ThresholdGrid, equidist_tally, estimate_normalized_cdf,
@@ -19,6 +18,7 @@ from ddl.empirical import (ThresholdGrid, equidist_tally, estimate_normalized_cd
                            partial_summation_check, smoothed_indicator_mean)
 from ddl.inversion import invert, sup_distance
 from ddl.multfunc import make, parse_spec
+from ddl.sieve import primes_up_to
 
 import oracles
 
@@ -75,7 +75,7 @@ def test_01_abundant_density_anchor(est_one_x8):
 
 def test_02_mean_value_consistency():
     # oracle for the constants: zeta(2)^{-1} partial products over p <= 1e6
-    ps = ddl.primes_up_to(10 ** 6).astype(np.float64)
+    ps = primes_up_to(10 ** 6).astype(np.float64)
     zeta2_inv = float(np.prod(1.0 - ps ** -2.0))
     assert abs(zeta2_inv - 0.607927) < 5e-6
 

@@ -306,6 +306,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     est = ("estimate", "--f", "one", "--x")
     assert exit_code(*est, "inf") == 2
     assert exit_code(*est, "1e400") == 2
+    # flags that no longer exist are refused, never ignored
     assert exit_code(*est, "100", "--segment-size", "0") == 2
     assert exit_code(*est, "100", "--workers", "0") == 2
     assert exit_code(*est, "100", "--workers", "-2") == 2
@@ -461,22 +462,6 @@ def test_console_script_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "ddl" in proc.stdout
-
-
-def test_workers_flag_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    with oracles.segment_size(65536):
-        run_cli("estimate", "--f", "mu", "--x", "300000", "--out", str(a))
-        run_cli("estimate", "--f", "mu", "--x", "300000", "--workers", "4", "--out", str(b))
-        assert data_rows(a.read_text()) == data_rows(b.read_text())
-        for workers in ("1", "2"):
-            assert run_cli("sieve-cache", "--x", "300000", "--workers", workers,
-                           "--dir", str(tmp_path / f"w{workers}"),
-                           "--out", str(tmp_path / f"w{workers}.json")) == 0
-    files = sorted(p.name for p in (tmp_path / "w1").iterdir())
-    assert len(files) == 5
-    for name in files:
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
 
 def test_traced_benchmark_call(tmp_path):

@@ -360,7 +360,7 @@ def test_estimate_segment_and_worker_invariance():
     with oracles.segment_size(997):
         a = estimate_weighted_cdf(make("tau"), 50000, grid)
     with oracles.segment_size(16384):
-        b = estimate_weighted_cdf(make("tau"), 50000, grid, workers=3)
+        b = estimate_weighted_cdf(make("tau"), 50000, grid)
     assert np.array_equal(a.raw, b.raw)
 
 
@@ -404,11 +404,10 @@ def assert_sum_close(got, terms, scale):
        q=st.integers(1, 12),
        m=st.integers(3, 100),
        segment_size=st.integers(16, 2 * PROPERTY_X),
-       workers=st.sampled_from([1, 2]),
        cached=st.booleans())
 def test_raw_counts_independent_of_scan_layout(tmp_path_factory, x, thresholds, f, q, m,
-                                               segment_size, workers, cached):
-    # no statistic may depend on segment size, worker count or cache state
+                                               segment_size, cached):
+    # no statistic may depend on segment size or cache state
     with oracles.segment_size(segment_size):
         grid = oracles.grid_of(sorted(thresholds))
         cache_dir = None
@@ -416,7 +415,7 @@ def test_raw_counts_independent_of_scan_layout(tmp_path_factory, x, thresholds, 
             cache_dir = tmp_path_factory.mktemp("sigma_cache")
             assert cli_main(["sieve-cache", "--x", str(x), "--dir", str(cache_dir),
                              "--out", str(cache_dir / "written.json")]) == 0
-        scan_kw = {"workers": workers, "cache_dir": cache_dir}
+        scan_kw = {"cache_dir": cache_dir}
         fn = PROPERTY_F[f]
         est = estimate_weighted_cdf(parse_spec(f), x, grid, **scan_kw)
         fr = oracles.grid_fractions(grid)

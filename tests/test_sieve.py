@@ -1,6 +1,5 @@
 """Sieve correctness: exact sigma tables and segment scans against independent oracles."""
 
-import time
 from math import isqrt
 
 import numpy as np
@@ -15,9 +14,9 @@ from ddl.sieve import (PRIME_LIMIT, ResourceLimitError, SEGMENT_SIZE, SIEVE_LIMI
 import oracles
 
 
-def scan_sum(f, x, per_chunk, **scan_kw):
+def scan_sum(f, x, per_chunk):
     """Sum per_chunk(chunk) over every segment of [1, x]."""
-    return sum(per_chunk(chunk) for chunk in scan_segments(x, f=f, **scan_kw))
+    return sum(per_chunk(chunk) for chunk in scan_segments(x, f=f))
 
 
 def f_sum(chunk):
@@ -141,21 +140,10 @@ def test_segment_boundary_independence(size):
     assert cut_sigma == scan_sum(None, x, sigma_sum)
 
 
-def test_worker_count_does_not_change_results():
-    mu = make("mu")
-    x = 2_000_000
-    with oracles.segment_size(123_457):
-        seq = scan_sum(mu, x, f_sum)
-        par = scan_sum(mu, x, f_sum, workers=4)
-    assert seq == par
-
-
 def test_buffer_ring_gives_identical_sums(tmp_path):
-    # 24 segments through rings of 1, 4 and 5 buffer sets, with sigma read
-    # from the cache for every other segment and sieved for the rest.  Each
-    # chunk is summed when it comes and again after the pool's threads have
-    # run on: a set taken for a new segment before the caller asked for the
-    # next chunk would change the second sums.
+    # 24 segments through the scan's one buffer set, with sigma read from the
+    # cache for every other segment and sieved for the rest, give the chunks
+    # of an uncached scan
     size, x = 4096, 24 * 4096 - 100
     f = parse_spec("lambda:a=1,q=3")
     sigma = oracles.sigma_table_brute(x)
@@ -168,25 +156,18 @@ def test_buffer_ring_gives_identical_sums(tmp_path):
         for k, chunk in enumerate(scan_segments(x)):
             if k % 2:
                 write_segment_cache(tmp_path, chunk.lo, chunk.hi, chunk.sigma)
-        runs = {}
-        for workers in (1, 2, 3):
-            runs[workers] = []
-            for c in scan_segments(x, f=f, with_omega=True, workers=workers,
-                                   cache_dir=str(tmp_path)):
-                first = sums(c)
-                time.sleep(0.002)
-                assert sums(c) == first, (workers, c.lo)
-                assert first[2] == int(sigma[c.lo:c.hi + 1].sum()), (workers, c.lo)
-                runs[workers].append(first)
-    assert len(runs[1]) == 24 and runs[1][-1][0] == 23 * size + 1
-    assert runs[2] == runs[1] and runs[3] == runs[1]
+        runs = [[sums(c) for c in scan_segments(x, f=f, with_omega=True, cache_dir=cache_dir)]
+                for cache_dir in (str(tmp_path), None)]
+    for lo, _, sigma_sum, _, _ in runs[0]:
+        assert sigma_sum == int(sigma[lo:lo + size].sum()), lo
+    assert len(runs[0]) == 24 and runs[0][-1][0] == 23 * size + 1
+    assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_chunk_arrays_are_read_only(workers):
+def test_chunk_arrays_are_read_only():
     # a chunk's arrays are views of buffers the scan reuses, so no caller may write them
     with oracles.segment_size(1000):
-        for chunk in scan_segments(2500, f=make("tau"), with_omega=True, workers=workers):
+        for chunk in scan_segments(2500, f=make("tau"), with_omega=True):
             for a in (chunk.n, chunk.sigma, chunk.fvals, chunk.omega):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
