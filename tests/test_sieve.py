@@ -164,14 +164,20 @@ def test_buffer_ring_gives_identical_sums(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_chunk_arrays_are_read_only():
-    # a chunk's arrays are views of buffers the scan reuses, so no caller may write them
+@pytest.mark.parametrize("scans", [1, 2])
+def test_chunk_arrays_are_read_only(scans):
+    # a chunk's arrays are views of buffers the scan reuses, so no caller may
+    # write them; scans run side by side each own their buffer set
     with oracles.segment_size(1000):
-        for chunk in scan_segments(2500, f=make("tau"), with_omega=True):
-            for a in (chunk.n, chunk.sigma, chunk.fvals, chunk.omega):
-                assert not a.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = 0
+        for chunks in zip(*(scan_segments(2500, f=make("tau"), with_omega=True)
+                            for _ in range(scans))):
+            assert len({c.lo for c in chunks}) == 1
+            for chunk in chunks:
+                for a in (chunk.n, chunk.sigma, chunk.fvals, chunk.omega):
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = 0
+            assert all(np.array_equal(c.fvals, chunks[0].fvals) for c in chunks)
 
 
 def test_omega_values():
