@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ddl
-from ddl.analytic import (CUMULANT_BUDGET, WitnessNotFound, _level_tables, _policy_tail,
-                          char_function, continuity_diagnostic, greedy_witness, halasz_series,
-                          mean_value_product, mertens_kappa, wirsing_prediction)
+from ddl.analytic import (CUMULANT_BUDGET, NEAR_ORDER, NEAR_PHASE, WitnessNotFound,
+                          _level_tables, _policy_tail, char_function, continuity_diagnostic,
+                          greedy_witness, halasz_series, mean_value_product, mertens_kappa,
+                          wirsing_prediction)
 from ddl.multfunc import MultFunc, make
 from ddl.sieve import PRIME_LIMIT, SEGMENT_SIZE, ResourceLimitError, prime_segments, primes_up_to
 
@@ -166,9 +167,13 @@ def test_char_function_uniform_recurrence_matches_direct():
     perm = np.array([3, 0, 7, 1, 12, 5, 2, 9, 4, 11, 6, 10, 8])
     prof_d = char_function(tau, ts_uniform[perm], 10 ** 4)
     assert np.allclose(prof_u.values[perm], prof_d.values, atol=5e-12)
-    ragged = np.concatenate([ts_uniform, [0.01, 0.3, 1.777, 2.9]])
+    # t = 40 moves max|t| from 3, so more primes enter exactly and more of
+    # their levels are far from their limit phase
+    ragged = np.concatenate([ts_uniform, [0.01, 0.3, 1.777, 2.9, 40.0]])
     prof_r = char_function(tau, ragged, 10 ** 4)
     assert np.allclose(prof_r.values[:ts_uniform.size], prof_u.values, atol=5e-12)
+    # each near level's Taylor cut drops under one rounding of its weight
+    assert NEAR_PHASE ** (NEAR_ORDER + 1) / math.factorial(NEAR_ORDER + 1) <= 2.0 ** -53
     one_each = [char_function(tau, [t], 10 ** 4).values[0] for t in ts_uniform]
     assert np.allclose(one_each, prof_u.values, atol=5e-12)
 
@@ -177,13 +182,23 @@ def test_char_function_uniform_recurrence_matches_direct():
 @pytest.mark.parametrize("spec", ["one", "tau", "r", "phi_over_n_pow:re=-8,im=0"])
 def test_char_function_matches_direct_product(spec):
     f = ddl.parse_spec(spec)
-    ts = np.array([-400.0, -37.5, -2.25, -0.3, 0.0, 0.05, 0.7, 3.1, 12.0,
-                   55.5, 123.4, 250.0, 399.9, 400.0])
-    prof = char_function(f, ts, 10 ** 5)
-    rem = prof.tail_bounds - _policy_tail(f, ts, 10 ** 5)  # the cumulant remainder
-    assert np.all(rem >= 0) and 0 < rem[-1] <= CUMULANT_BUDGET  # stated at t = 400
-    direct = oracles.char_function_direct(f, ts, 10 ** 5)
-    assert np.all(np.abs(prof.values - direct) <= rem + 1e-12)
+    # every level near its prime's limit phase: at max|t| = 0.3 the exact
+    # primes are 2 and 3, and even p = 2, j = 1 moves by under NEAR_PHASE
+    near = np.array([-0.3, -0.05, 0.0, 0.01, 0.05, 0.2, 0.3])
+    assert 0.3 * -math.log1p(-1 / 4) <= NEAR_PHASE
+    # the invert grid, checked at every 100th node
+    grid = np.arange(4001) * 0.05
+    # near and far levels mixed, up to |t| = 400
+    mixed = np.array([-400.0, -37.5, -2.25, -0.3, 0.0, 0.05, 0.7, 3.1, 12.0,
+                      55.5, 123.4, 250.0, 399.9, 400.0])
+    for ts, P, check in ((near, 10 ** 5, slice(None)), (grid, 10 ** 4, slice(None, None, 100)),
+                         (mixed, 10 ** 5, slice(None))):
+        prof = char_function(f, ts, P)
+        rem = (prof.tail_bounds - _policy_tail(f, ts, P))[check]  # the cumulant remainder
+        assert np.all(rem >= 0) and np.all(rem <= CUMULANT_BUDGET)
+        direct = oracles.char_function_direct(f, ts[check], P)
+        assert np.all(np.abs(prof.values[check] - direct) <= rem + 1e-12)
+    assert rem[-1] > 0  # stated at t = 400
 
 
 def test_char_function_reads_the_stream_once(monkeypatch):
