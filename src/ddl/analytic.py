@@ -135,7 +135,7 @@ def _levels(f: MultFunc, ps: np.ndarray, P: int):
     # to 1e-16 relative; the log of the closed form (1 - p^-(j+1)) / (1 - 1/p),
     # a ratio within 1/p of 1, loses up to 1.5e-8 of it at p near 1e8
     s = np.zeros(ps.size)
-    plain = np.ones(ps.size, dtype=np.complex128 if f.complex_valued else np.float64)
+    plain = np.ones(ps.size, dtype=f.dtype)
     levels = []
     j = 1
     while True:

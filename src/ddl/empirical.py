@@ -240,7 +240,7 @@ def _weighted_sum(fv, vals=None, *, sel=None, bins=None, m=0):
 
 def _scan_sum(x, reduce, **scan_kw):
     """The sum of reduce(chunk) over scan_segments(x, **scan_kw), added chunk
-    by chunk in segment order: the same for any worker count or cache state."""
+    by chunk in segment order: the same for any cache state."""
     total = 0
     for chunk in scan_segments(x, **scan_kw):
         total = total + reduce(chunk)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .analytic import EXACT_ELEMENTS, CharFnProfile
 from .empirical import WeightedCdfEstimate
-from .sieve import SIGMA_TABLE_BUDGET_BYTES, ResourceLimitError
+from .sieve import ResourceLimitError
 
 __all__ = ["InversionError", "InvertedCdf", "CdfComparison", "invert", "sup_distance"]
 
@@ -48,6 +48,9 @@ DEFAULT_SLACK = 0.02
 RESOLVED_WIDTH = 1.5
 # Most nodes a t grid may hold; the grid alone is then 80 MB.
 _MAX_T_NODES = 10 ** 7
+# Cap on 16 bytes per (evaluation point, positive node) pair: it bounds the
+# work an inversion may ask for, not the size of any one array.
+INVERT_BUDGET_BYTES = 2_000_000_000
 
 
 class InversionError(ValueError):
@@ -82,7 +85,7 @@ def _t_nodes(count: int) -> int:
 def _quadrature_grid(T: float, step: float, n_points: int) -> np.ndarray:
     """The t grid the quadrature runs on, k*step for k = 0..floor(T/step).
     An inversion is refused, before the grid is built, when n_points times
-    the positive nodes passes SIGMA_TABLE_BUDGET_BYTES / 16, a cap on the
+    the positive nodes passes INVERT_BUDGET_BYTES / 16, a cap on the
     product's cost: the quadrature itself holds one block of at most
     EXACT_ELEMENTS (point, node) pairs at a time."""
     if not (step > 0 and math.isfinite(T / step)):
@@ -92,10 +95,10 @@ def _quadrature_grid(T: float, step: float, n_points: int) -> np.ndarray:
         raise InversionError("T / step leaves too few quadrature nodes")
     nodes = _t_nodes(m + 1)
     need = 16 * n_points * m
-    if need > SIGMA_TABLE_BUDGET_BYTES:
+    if need > INVERT_BUDGET_BYTES:
         raise ResourceLimitError(
             f"inverting at {n_points} points over {m} nodes needs "
-            f"{need / 1e9:.1f} GB, over the {SIGMA_TABLE_BUDGET_BYTES / 1e9:.1f} GB budget")
+            f"{need / 1e9:.1f} GB, over the {INVERT_BUDGET_BYTES / 1e9:.1f} GB budget")
     return step * np.arange(nodes)
 
 

@@ -29,13 +29,16 @@ Each entry has exactly one rule, vectorized over an array of primes at a
 fixed exponent: ``prime_powers(ps, j)``.  ``at_primes(ps)`` is that rule at
 j = 1, and ``prime_power(p, j)`` is a convenience that calls it on a single
 prime, so the sieve and the Euler products cannot drift apart.
-All are pure; descriptors are immutable and safe to share between threads.
+All are pure; descriptors are immutable.
 """
 
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
+from collections.abc import Callable
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -57,6 +60,7 @@ class CatalogError(ValueError):
     """Unknown catalog id or a parameter out of range."""
 
 
+@dataclass(frozen=True, eq=False)
 class MultFunc:
     """Immutable descriptor of a catalog multiplicative function.
 
@@ -72,30 +76,26 @@ class MultFunc:
     eta_coeff       c with sum_{j>=2} |f(p^j)|/p^j <= c/p^2 for every p
     prime_dev_coeff c with |f(p) - 1| <= c/p for all large p (only meaningful
                     when mean_value_ok), used for product tail estimates
+
+    Equality and hashing are by identity (eq=False): params is a dict.
     """
 
-    __slots__ = (
-        "id", "params", "kappa", "nonneg", "unit_disc",
-        "complex_valued", "mean_value_ok", "eta_coeff", "prime_dev_coeff",
-        "_vector",
-    )
+    id: str
+    params: dict
+    _vector: Callable[[np.ndarray, int], np.ndarray]
+    _: KW_ONLY
+    nonneg: bool
+    unit_disc: bool
+    complex_valued: bool
+    kappa: float | None = None
+    mean_value_ok: bool
+    eta_coeff: float
+    prime_dev_coeff: float = 0.0
 
-    def __init__(self, id, params, vector, *, nonneg, unit_disc,
-                 complex_valued, kappa=None, mean_value_ok, eta_coeff,
-                 prime_dev_coeff=0.0):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "params", dict(params))
-        object.__setattr__(self, "_vector", vector)
-        object.__setattr__(self, "nonneg", nonneg)
-        object.__setattr__(self, "unit_disc", unit_disc)
-        object.__setattr__(self, "complex_valued", complex_valued)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "mean_value_ok", mean_value_ok)
-        object.__setattr__(self, "eta_coeff", eta_coeff)
-        object.__setattr__(self, "prime_dev_coeff", prime_dev_coeff)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultFunc is immutable")
+    @property
+    def dtype(self) -> type:
+        """The value dtype: complex128 when values may be non-real, else float64."""
+        return np.complex128 if self.complex_valued else np.float64
 
     @property
     def is_one(self) -> bool:
@@ -111,10 +111,9 @@ class MultFunc:
     def prime_powers(self, ps: np.ndarray, j: int) -> np.ndarray:
         """Vector of f(p^j) over an array of primes, fixed exponent j >= 0."""
         ps = np.asarray(ps, dtype=np.int64)
-        dtype = np.complex128 if self.complex_valued else np.float64
         if j == 0:
-            return np.ones(ps.shape, dtype=dtype)
-        return np.asarray(self._vector(ps, int(j)), dtype=dtype)
+            return np.ones(ps.shape, dtype=self.dtype)
+        return np.asarray(self._vector(ps, int(j)), dtype=self.dtype)
 
     def at_primes(self, ps: np.ndarray) -> np.ndarray:
         """Vector of f(p) over an array of primes."""
@@ -135,6 +134,11 @@ class MultFunc:
 # built-in rules
 # ---------------------------------------------------------------------------
 
+def _phi_ratio_vec(ps: np.ndarray, j: int) -> np.ndarray:
+    """phi(p^j)/p^j = 1 - 1/p as float64, the same at every j >= 1."""
+    return 1.0 - 1.0 / ps.astype(np.float64)
+
+
 def _sigma_ratio_vec(ps: np.ndarray, j: int) -> np.ndarray:
     """sigma(p^j)/p^j as float64, overflow-free: (1 - p^-(j+1)) / (1 - 1/p)."""
     pinv = 1.0 / ps.astype(np.float64)
@@ -149,36 +153,28 @@ def _int_param(name: str, v) -> int:
 
 
 def _build_one():
-    return MultFunc(
-        "one", {},
-        lambda ps, j: np.ones(ps.shape),
+    return {}, lambda ps, j: np.ones(ps.shape), dict(
         nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=0.0,
     )
 
 
 def _build_tau():
-    return MultFunc(
-        "tau", {},
-        lambda ps, j: np.full(ps.shape, float(j + 1)),
+    return {}, lambda ps, j: np.full(ps.shape, float(j + 1)), dict(
         nonneg=True, unit_disc=False, complex_valued=False,
         kappa=2.0, mean_value_ok=False, eta_coeff=4.0,
     )
 
 
 def _build_mu():
-    return MultFunc(
-        "mu", {},
-        lambda ps, j: np.full(ps.shape, -1.0 if j == 1 else 0.0),
+    return {}, lambda ps, j: np.full(ps.shape, -1.0 if j == 1 else 0.0), dict(
         nonneg=False, unit_disc=True, complex_valued=False,
         kappa=None, mean_value_ok=False, eta_coeff=0.0,
     )
 
 
 def _build_mu_squared():
-    return MultFunc(
-        "mu_squared", {},
-        lambda ps, j: np.full(ps.shape, 1.0 if j == 1 else 0.0),
+    return {}, lambda ps, j: np.full(ps.shape, 1.0 if j == 1 else 0.0), dict(
         nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=0.0, prime_dev_coeff=0.0,
     )
@@ -188,76 +184,50 @@ def _build_lfree(l: int):
     l = _int_param("l", l)
     if l < 2:
         raise CatalogError("lfree needs l >= 2")
-    return MultFunc(
-        "lfree", {"l": l},
-        lambda ps, j: np.full(ps.shape, 1.0 if j < l else 0.0),
+    return {"l": l}, lambda ps, j: np.full(ps.shape, 1.0 if j < l else 0.0), dict(
         nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=0.0,
     )
 
 
 def _build_phi_over_n():
-    return MultFunc(
-        "phi_over_n", {},
-        lambda ps, j: 1.0 - 1.0 / ps.astype(np.float64),
+    return {}, _phi_ratio_vec, dict(
         nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=1.0,
     )
 
 
 def _build_sigma_over_n():
-    return MultFunc(
-        "sigma_over_n", {},
-        _sigma_ratio_vec,
+    return {}, _sigma_ratio_vec, dict(
         nonneg=True, unit_disc=False, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=4.0, prime_dev_coeff=1.0,
     )
 
 
-def _check_pow_part(re: float, im: float):
-    # written so that a NaN part fails the test too
-    if not (abs(re) <= MAX_POW_PART and abs(im) <= MAX_POW_PART):
-        raise CatalogError(f"exponent parts must be finite with |re|,|im| <= {MAX_POW_PART:g}")
+def _power_twist(base, base_at_most_one: bool):
+    """Builder of the twist (base)^z, z = re + i im, for a positive ratio
+    base(ps, j) that is <= 1 everywhere (base_at_most_one) or >= 1 everywhere."""
 
+    def build(re: float, im: float):
+        re, im = float(re), float(im)
+        # written so that a NaN part fails the test too
+        if not (abs(re) <= MAX_POW_PART and abs(im) <= MAX_POW_PART):
+            raise CatalogError(f"exponent parts must be finite with |re|,|im| <= {MAX_POW_PART:g}")
+        z = complex(re, im)
+        is_complex = im != 0.0
 
-def _build_phi_over_n_pow(re: float, im: float):
-    re, im = float(re), float(im)
-    _check_pow_part(re, im)
-    z = complex(re, im)
-    is_complex = im != 0.0
+        def vector(ps, j):
+            v = np.exp(z * np.log(base(ps, j)))
+            return v if is_complex else v.real
 
-    def vector(ps, j):
-        base = 1.0 - 1.0 / ps.astype(np.float64)
-        v = np.exp(z * np.log(base))
-        return v if is_complex else v.real
+        return {"re": re, "im": im}, vector, dict(
+            nonneg=not is_complex, unit_disc=re >= 0 if base_at_most_one else re <= 0,
+            complex_valued=is_complex, kappa=1.0 if not is_complex else None,
+            mean_value_ok=True, eta_coeff=2.0 * 2.0 ** abs(re),
+            prime_dev_coeff=2.0 * (abs(re) + abs(im)) + 1.0,
+        )
 
-    return MultFunc(
-        "phi_over_n_pow", {"re": re, "im": im}, vector,
-        nonneg=not is_complex, unit_disc=re >= 0,
-        complex_valued=is_complex, kappa=1.0 if not is_complex else None,
-        mean_value_ok=True, eta_coeff=2.0 * 2.0 ** abs(re),
-        prime_dev_coeff=2.0 * (abs(re) + abs(im)) + 1.0,
-    )
-
-
-def _build_sigma_over_n_pow(re: float, im: float):
-    re, im = float(re), float(im)
-    _check_pow_part(re, im)
-    z = complex(re, im)
-    is_complex = im != 0.0
-
-    def vector(ps, j):
-        base = _sigma_ratio_vec(ps, j)
-        v = np.exp(z * np.log(base))
-        return v if is_complex else v.real
-
-    return MultFunc(
-        "sigma_over_n_pow", {"re": re, "im": im}, vector,
-        nonneg=not is_complex, unit_disc=re <= 0,
-        complex_valued=is_complex, kappa=1.0 if not is_complex else None,
-        mean_value_ok=True, eta_coeff=2.0 * 2.0 ** abs(re),
-        prime_dev_coeff=2.0 * (abs(re) + abs(im)) + 1.0,
-    )
+    return build
 
 
 def _build_lambda(a: int, q: int):
@@ -277,8 +247,7 @@ def _build_lambda(a: int, q: int):
     def vector(ps, j):
         return np.full(ps.shape, root ** j)
 
-    return MultFunc(
-        "lambda", {"a": a, "q": q}, vector,
+    return {"a": a, "q": q}, vector, dict(
         nonneg=(a == 0), unit_disc=True,
         complex_valued=is_complex, kappa=1.0 if a == 0 else None,
         mean_value_ok=(a == 0), eta_coeff=2.0, prime_dev_coeff=0.0,
@@ -292,8 +261,7 @@ def _build_r():
         res[ps == 2] = 1.0
         return res
 
-    return MultFunc(
-        "r", {}, vector,
+    return {}, vector, dict(
         nonneg=True, unit_disc=False, complex_valued=False,
         kappa=1.0, mean_value_ok=False, eta_coeff=4.0,
     )
@@ -306,8 +274,7 @@ def _build_two_squares_indicator():
             res[ps % 4 == 3] = 0.0
         return res
 
-    return MultFunc(
-        "two_squares_indicator", {}, vector,
+    return {}, vector, dict(
         nonneg=True, unit_disc=True, complex_valued=False,
         kappa=0.5, mean_value_ok=False, eta_coeff=2.0,
     )
@@ -321,8 +288,7 @@ def _build_principal_character(q: int):
     def vector(ps, j):
         return (np.gcd(ps, q) == 1).astype(np.float64)
 
-    return MultFunc(
-        "principal_character", {"q": q}, vector,
+    return {"q": q}, vector, dict(
         nonneg=True, unit_disc=True, complex_valued=False,
         kappa=1.0, mean_value_ok=True, eta_coeff=2.0, prime_dev_coeff=0.0,
     )
@@ -347,29 +313,34 @@ def _build_quadratic_character(q: int):
         chi = table[ps % q]
         return chi if j % 2 == 1 else np.abs(chi)
 
-    return MultFunc(
-        "quadratic_character", {"q": q}, vector,
+    return {"q": q}, vector, dict(
         nonneg=False, unit_disc=True, complex_valued=False,
         kappa=None, mean_value_ok=False, eta_coeff=2.0,
     )
 
 
+# A builder takes an entry's parameters by name, the names of its signature,
+# validates them and returns (stored params, rule, metadata); make() adds the id.
 _BUILDERS = {
-    "one": (_build_one, ()),
-    "tau": (_build_tau, ()),
-    "mu": (_build_mu, ()),
-    "mu_squared": (_build_mu_squared, ()),
-    "lfree": (_build_lfree, ("l",)),
-    "phi_over_n": (_build_phi_over_n, ()),
-    "sigma_over_n": (_build_sigma_over_n, ()),
-    "phi_over_n_pow": (_build_phi_over_n_pow, ("re", "im")),
-    "sigma_over_n_pow": (_build_sigma_over_n_pow, ("re", "im")),
-    "lambda": (_build_lambda, ("a", "q")),
-    "r": (_build_r, ()),
-    "two_squares_indicator": (_build_two_squares_indicator, ()),
-    "principal_character": (_build_principal_character, ("q",)),
-    "quadratic_character": (_build_quadratic_character, ("q",)),
+    "one": _build_one,
+    "tau": _build_tau,
+    "mu": _build_mu,
+    "mu_squared": _build_mu_squared,
+    "lfree": _build_lfree,
+    "phi_over_n": _build_phi_over_n,
+    "sigma_over_n": _build_sigma_over_n,
+    "phi_over_n_pow": _power_twist(_phi_ratio_vec, base_at_most_one=True),
+    "sigma_over_n_pow": _power_twist(_sigma_ratio_vec, base_at_most_one=False),
+    "lambda": _build_lambda,
+    "r": _build_r,
+    "two_squares_indicator": _build_two_squares_indicator,
+    "principal_character": _build_principal_character,
+    "quadratic_character": _build_quadratic_character,
 }
+
+
+def _param_names(cid: str) -> list[str]:
+    return list(inspect.signature(_BUILDERS[cid]).parameters)
 
 
 def catalog_ids() -> list[str]:
@@ -378,26 +349,22 @@ def catalog_ids() -> list[str]:
 
 def catalog_entries() -> list[dict]:
     """One metadata row per catalog id, for listings."""
-    rows = []
-    for cid in catalog_ids():
-        _, names = _BUILDERS[cid]
-        rows.append({"id": cid, "params": list(names)})
-    return rows
+    return [{"id": cid, "params": _param_names(cid)} for cid in catalog_ids()]
 
 
 def make(cid: str, **params) -> MultFunc:
     """Instantiate a catalog entry by id with keyword parameters."""
-    try:
-        builder, names = _BUILDERS[cid]
-    except KeyError:
-        raise CatalogError(f"unknown catalog id {cid!r}; known: {', '.join(catalog_ids())}") from None
+    if cid not in _BUILDERS:
+        raise CatalogError(f"unknown catalog id {cid!r}; known: {', '.join(catalog_ids())}")
+    names = _param_names(cid)
     unknown = set(params) - set(names)
     if unknown:
         raise CatalogError(f"{cid} does not take parameters {sorted(unknown)}")
     missing = set(names) - set(params)
     if missing:
         raise CatalogError(f"{cid} needs parameters {sorted(missing)}")
-    return builder(**params)
+    stored, vector, meta = _BUILDERS[cid](**params)
+    return MultFunc(cid, stored, vector, **meta)
 
 
 def parse_spec(spec: str) -> MultFunc:

@@ -218,9 +218,8 @@ class _SegmentBuffers:
         self.geo = None  # allocated when sigma is first sieved, not read from the cache
         self.fv = self.fp = None
         if fdesc is not None:
-            dtype = np.complex128 if fdesc.complex_valued else np.float64
-            self.fv = np.empty(size, dtype=dtype)
-            self.fp = np.empty(size // 2 + 1, dtype=dtype)
+            self.fv = np.empty(size, dtype=fdesc.dtype)
+            self.fp = np.empty(size // 2 + 1, dtype=fdesc.dtype)
         self.om = np.empty(size, dtype=np.int16) if want_omega else None
 
 

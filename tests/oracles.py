@@ -23,6 +23,7 @@ builds a weight for the library to sieve.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -249,13 +250,7 @@ def restrict_coprime(f: MultFunc, y: float) -> MultFunc:
     def vector(ps, j):
         return np.where(ps <= y, 0, f.prime_powers(ps, j))
 
-    return MultFunc(
-        f"{f.id}~coprime>{y:g}", f.params, vector,
-        nonneg=f.nonneg, unit_disc=f.unit_disc,
-        complex_valued=f.complex_valued, kappa=f.kappa,
-        mean_value_ok=f.mean_value_ok, eta_coeff=f.eta_coeff,
-        prime_dev_coeff=f.prime_dev_coeff,
-    )
+    return dataclasses.replace(f, id=f"{f.id}~coprime>{y:g}", _vector=vector)
 
 
 def r_rough_euler_product(y: int) -> float:

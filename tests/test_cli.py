@@ -13,7 +13,7 @@ import pytest
 from ddl import cli
 from ddl.cli import main
 from ddl.empirical import ThresholdGrid, WeightedCdfEstimate, estimate_weighted_cdf
-from ddl.multfunc import make
+from ddl.multfunc import CatalogError, make, parse_spec
 from ddl.sieve import read_segment_cache, sigma_table, write_segment_cache
 
 import oracles
@@ -58,6 +58,21 @@ def test_catalog_listing(tmp_path):
     entries = read_json(out)["entries"]
     ids = {e["id"] for e in entries}
     assert {"one", "tau", "lambda", "r"} <= ids
+    # each listed entry's params are exactly the names make accepts
+    valid = {"l": 3, "re": 0.5, "im": 0.0, "a": 1, "q": 3}
+    for e in entries:
+        params = {k: valid[k] for k in e["params"]}
+        inner = ",".join(f"{k}={v}" for k, v in params.items())
+        assert parse_spec(f"{e['id']}:{inner}" if inner else e["id"]).id == e["id"]
+        for k in params:
+            with pytest.raises(CatalogError, match="needs parameters"):
+                make(e["id"], **{n: v for n, v in params.items() if n != k})
+        with pytest.raises(CatalogError, match="does not take parameters"):
+            make(e["id"], **params, extra=1)
+    # descriptors hash by identity, and the value dtype follows complex_valued
+    assert isinstance(hash(parse_spec("lambda:a=1,q=3")), int)
+    assert parse_spec("tau").dtype == np.float64
+    assert parse_spec("lambda:a=1,q=3").dtype == np.complex128
 
 
 def test_estimate_csv_schema_and_values(tmp_path):
