@@ -221,7 +221,7 @@ def _power_twist(base, base_at_most_one: bool):
             return v if is_complex else v.real
 
         return {"re": re, "im": im}, vector, dict(
-            nonneg=not is_complex, unit_disc=re >= 0 if base_at_most_one else re <= 0,
+            nonneg=not is_complex, unit_disc=(re >= 0) if base_at_most_one else (re <= 0),
             complex_valued=is_complex, kappa=1.0 if not is_complex else None,
             mean_value_ok=True, eta_coeff=2.0 * 2.0 ** abs(re),
             prime_dev_coeff=2.0 * (abs(re) + abs(im)) + 1.0,
