@@ -28,7 +28,7 @@ for every nonnegative catalog entry at P <= PRIME_LIMIT (see LOG_PLAIN_CAP).
 The exact primes' levels are expanded around their limit phase.  Level j's
 phase is t lr_j = t A_p + t B_j, where A_p = log(1 - 1/p) is the limit of
 lr_j as j -> oo and B_j > 0 falls with j and with p.  A level is near when
-max|t| B_j <= NEAR_PHASE.  The near levels of p sum to e^{i t A_p} times a
+max|t| |B_j| <= NEAR_PHASE.  The near levels of p sum to e^{i t A_p} times a
 real polynomial in t, their Taylor series in t B_j, and the far ones, a
 prefix of each level's primes, keep their own exponential: at T = 200 the
 223 exact primes have 1,415 levels, and 30 of them are far.
@@ -259,7 +259,8 @@ def _exact_product(ts, ps, levels, n0: int) -> np.ndarray:
     for cnt, w, lr in levels:
         m = min(cnt, n0)
         B = lr[:m] - A[:m]
-        f = int(np.max(np.flatnonzero(t_max * B > NEAR_PHASE), initial=-1)) + 1
+        # |B|: at high levels rounding takes B_j to 0 or below
+        f = int(np.max(np.flatnonzero(t_max * np.abs(B) > NEAR_PHASE), initial=-1)) + 1
         far.append((w[:f], lr[:f]))
         term = w[f:m]
         for n in range(NEAR_ORDER + 1):
@@ -268,8 +269,8 @@ def _exact_product(ts, ps, levels, n0: int) -> np.ndarray:
     # (i t)^n = (-1)^(n//2) t^n, real for even n and i times real for odd n:
     # row k holds (-1)^k (c_{2k}, c_{2k+1}) per prime in the float layout of
     # a complex array, so one Horner pass in t^2 gives both parts.  Rows past
-    # the last nonzero one are dropped: without a near B_j > 0 (which keeps
-    # max|t| below 1e27), t^2 may overflow and is not needed
+    # the last nonzero one are dropped: without a near B_j != 0 (|B_j| >= one
+    # ulp of A_p keeps max|t| < 1e27), t^2 may overflow and is not needed
     pairs = coef.shape[0] // 2
     horner = coef.reshape(pairs, 2, n0) * ((-1.0) ** np.arange(pairs))[:, None, None]
     horner = horner.transpose(0, 2, 1).reshape(pairs, 2 * n0)
@@ -436,10 +437,7 @@ def halasz_series(f: MultFunc, beta: float, P: int) -> float:
     for ps in prime_segments(int(P)):
         pf = ps.astype(np.float64)
         fp = f.at_primes(ps).astype(np.complex128)
-        if beta == 0.0:
-            twist = fp
-        else:
-            twist = fp * np.exp(-1j * beta * np.log(pf))
+        twist = fp * np.exp(-1j * beta * np.log(pf))
         total += float(np.sum((1.0 - twist.real) / pf))
     return total
 
@@ -465,12 +463,13 @@ def continuity_diagnostic(f: MultFunc, P: int) -> float:
     return total
 
 
-def greedy_witness(f: MultFunc, v, u, p_cap: int = 100_000) -> int:
-    """Squarefree m with f(m) > 0 and v < m/sigma(m) <= u, by greedy descent.
+def greedy_witness(f: MultFunc, v, u, p_cap: int = 100_000) -> list[int]:
+    """The ascending primes of a squarefree m, f(m) > 0 and v < m/sigma(m) <= u.
 
     Starting from m = 1 (ratio 1), multiply in the smallest prime p with
     f(p) != 0 whose inclusion keeps the exact ratio above v; stop as soon as
-    the ratio is <= u.  All comparisons are exact integer arithmetic.
+    the ratio is <= u.  All comparisons are exact integer arithmetic.  m is
+    given by its primes, as its digits may pass Python's int-to-str limit.
     Raises WitnessNotFound when primes up to p_cap do not suffice (a budget
     signal, not a correctness failure).
     """
@@ -478,12 +477,13 @@ def greedy_witness(f: MultFunc, v, u, p_cap: int = 100_000) -> int:
     if not (0 <= v < u <= 1):
         raise ValueError("need 0 <= v < u <= 1")
     if u == 1:  # m = 1 has ratio 1
-        return 1
+        return []
     # the ratio is m/s with s = sigma(m), and the tests m p/(s (p+1)) > v and
     # m/s <= u are cross-multiplied, all in Python ints
     (v_num, v_den), (u_num, u_den) = v.as_integer_ratio(), u.as_integer_ratio()
     m = s = 1
-    fprod = complex(1.0)
+    primes = []
+    phase = complex(1.0)  # f(m)/|f(m)|: |f(m)| may overflow, and only the phase is checked
     for ps in prime_segments(int(p_cap)):  # p_cap is checked here, before any prime is sieved
         for p, fp in zip(ps.tolist(), f.at_primes(ps).tolist()):
             if fp == 0:
@@ -491,10 +491,11 @@ def greedy_witness(f: MultFunc, v, u, p_cap: int = 100_000) -> int:
             if m * p * v_den > v_num * s * (p + 1):
                 m *= p
                 s *= p + 1
-                fprod *= fp
+                primes.append(p)
+                phase *= fp / abs(fp)
                 if m * u_den <= u_num * s:
-                    if not (abs(fprod.imag) < 1e-9 and fprod.real > 0):
-                        raise WitnessNotFound(f"greedy product has f(m) = {fprod}, not positive")
-                    return m
+                    if not (abs(phase.imag) < 1e-9 and phase.real > 0):
+                        raise WitnessNotFound(f"f(m) has phase {phase}, not positive")
+                    return primes
     raise WitnessNotFound(
         f"no witness in ({v}, {u}] with primes up to {p_cap}; increase p_cap")

@@ -14,7 +14,8 @@ before any work), 3 resource refusal.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .multfunc import CatalogError, catalog_entries, parse_spec
+from .multfunc import catalog_entries, parse_spec
 from .sieve import ResourceLimitError, SieveError, scan_segments, write_segment_cache
 from .empirical import (GridError, ThresholdGrid, WeightedCdfEstimate, equidist_tally,
                         estimate_normalized_cdf, estimate_weighted_cdf,
@@ -36,7 +37,7 @@ from .empirical import (GridError, ThresholdGrid, WeightedCdfEstimate, equidist_
 from .analytic import (WitnessNotFound, char_function, continuity_diagnostic,
                        greedy_witness, halasz_series, mean_value_product,
                        mertens_kappa, wirsing_prediction)
-from .inversion import (DEFAULT_STEP, DEFAULT_T, InversionError, _quadrature_grid,
+from .inversion import (DEFAULT_STEP, DEFAULT_T, _quadrature_grid,
                         _t_nodes, invert, sup_distance)
 
 EXIT_OK = 0
@@ -102,56 +103,65 @@ def _meta(args: argparse.Namespace, t0: float) -> dict:
 
 def _write(parts, out: str | None):
     """Write the strings of parts, in order, to out or stdout."""
-    if out:
-        with open(out, "w") as fh:
-            fh.writelines(parts)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(parts)
+
+
+_ROW_BLOCK = 1 << 14
+
+
+def _row_blocks(table: dict, fmt, null: str | None = None):
+    """Per block of _ROW_BLOCK rows of a table of columns (name -> array), one
+    list of strings per column: ints by str, floats by fmt, or null (if given)
+    when not finite.  A column at a time, as a formatter per value is slower."""
+    for a in range(0, len(next(iter(table.values()))), _ROW_BLOCK):
+        block = []
+        for col in table.values():
+            col = col[a:a + _ROW_BLOCK]
+            text = list(map(fmt if col.dtype.kind == "f" else str, col.tolist()))
+            if null is not None:
+                for i in np.flatnonzero(~np.isfinite(col)).tolist():
+                    text[i] = null
+            block.append(text)
+        yield block
+
+
+def _json(obj, pad: str = "\n"):
+    """The text of json.dumps(obj, indent=2, sort_keys=True), in parts, with
+    non-finite floats as null, as JavaScript's JSON.stringify writes them:
+    strict JSON has no Infinity or NaN.  A dict of numpy arrays is a table by
+    its columns, written as a list of row objects a block of rows at a time."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(c, np.ndarray) for c in obj.values()):
+        table = dict(sorted(obj.items()))
+        fields = ",".join(f"{inner}  {json.dumps(k)}: %s" for k in table)
+        row = inner + "{" + fields + inner + "}"  # for %, which takes under half str.format's time
+        for i, block in enumerate(_row_blocks(table, repr, "null")):
+            yield ("," if i else "[") + ",".join(row % r for r in zip(*block))
+        yield pad + "]" if len(next(iter(table.values()))) else "[]"
+    elif isinstance(obj, dict) and obj:
+        for i, k in enumerate(sorted(obj)):
+            yield ("," if i else "{") + inner + json.dumps(k) + ": "
+            yield from _json(obj[k], inner)
+        yield pad + "}"
+    elif isinstance(obj, list) and obj:
+        for i, v in enumerate(obj):
+            yield ("," if i else "[") + inner
+            yield from _json(v, inner)
+        yield pad + "]"
     else:
-        sys.stdout.writelines(parts)
+        yield "null" if isinstance(obj, float) and not math.isfinite(obj) else json.dumps(obj)
 
 
-def _estimate_csv(est, meta: dict) -> str:
-    buf = io.StringIO()
-    buf.write(f"# ddl v{meta['version']} {est.mode}\n")
-    buf.write(f"# config: {json.dumps(meta['config'], sort_keys=True)}\n")
-    buf.write(f"# normalizer: {est.normalizer:.12g}\n")
+def _estimate_csv(est, table: dict, meta: dict):
     gen = meta["generated"]
-    buf.write(f"# generated: {gen['timestamp']} wall={gen['wall_time_s']}s\n")
-    buf.write("u_num,u_den,raw_re,raw_im,value_re,value_im\n")
-    for num, den, r, v in zip(est.grid.nums.tolist(), est.grid.dens.tolist(),
-                              est.raw, est.values):
-        buf.write(f"{num},{den},{r.real:.12g},{r.imag:.12g},"
-                  f"{v.real:.12g},{v.imag:.12g}\n")
-    return buf.getvalue()
-
-
-# An estimate's JSON rows are formatted this many at a time.
-_JSON_ROW_BLOCK = 1 << 14
-_JSON_ROW = ('    {{\n      "raw_im": {},\n      "raw_re": {},\n      "u_den": {},\n'
-             '      "u_num": {},\n      "value_im": {},\n      "value_re": {}\n    }}')
-
-
-def _estimate_json(est, meta: dict):
-    """The text of json.dumps({"meta", "mode", "normalizer", "rows"},
-    indent=2, sort_keys=True) with non-finite floats as null, in parts and
-    without a dict per row: "rows" sorts last, so the rest is dumped with an
-    empty list and the rows, written a block at a time, go in its place."""
-    head = {"meta": meta, "mode": est.mode, "normalizer": est.normalizer, "rows": []}
-    _null_non_finite(head)
-    text = json.dumps(head, indent=2, sort_keys=True, allow_nan=False)
-    yield text[:-len("]\n}")]  # a grid holds at least one threshold
-
-    def num(v: float) -> str:
-        return repr(v) if math.isfinite(v) else "null"
-
-    for a in range(0, est.raw.size, _JSON_ROW_BLOCK):
-        b = a + _JSON_ROW_BLOCK
-        raw, values = est.raw[a:b], est.raw[a:b] / est.normalizer
-        cols = (raw.imag.tolist(), raw.real.tolist(), est.grid.dens[a:b].tolist(),
-                est.grid.nums[a:b].tolist(), values.imag.tolist(), values.real.tolist())
-        yield ("\n" if a == 0 else ",\n") + ",\n".join(
-            _JSON_ROW.format(num(ri), num(rr), den, nu, num(vi), num(vr))
-            for ri, rr, den, nu, vi, vr in zip(*cols))
-    yield "\n  ]\n}\n"
+    yield (f"# ddl v{meta['version']} {est.mode}\n"
+           f"# config: {json.dumps(meta['config'], sort_keys=True)}\n"
+           f"# normalizer: {est.normalizer:.12g}\n"
+           f"# generated: {gen['timestamp']} wall={gen['wall_time_s']}s\n"
+           + ",".join(table) + "\n")
+    for block in _row_blocks(table, "{:.12g}".format):
+        yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
 def _check_output(args):
@@ -164,24 +174,16 @@ def _check_output(args):
         raise ValueError("--gnuplot plots a CSV file: it needs --out and --format csv")
 
 
-def _null_non_finite(obj: dict | list):
-    """Set each non-finite float in obj and the dicts and lists it holds to
-    None, which JSON writes as null, as JavaScript's JSON.stringify does:
-    strict JSON has no Infinity or NaN.  In place, as a copy of the payload
-    would add to the process's peak memory."""
-    for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
-        if isinstance(v, (dict, list)):
-            _null_non_finite(v)
-        elif isinstance(v, float) and not math.isfinite(v):
-            obj[k] = None
-
-
 def _emit(result, args, t0):
     """Write a handler's result, with its metadata, to --out or stdout."""
     meta = _meta(args, t0)
     if isinstance(result, WeightedCdfEstimate):
+        values = result.values
+        table = {"u_num": result.grid.nums, "u_den": result.grid.dens,
+                 "raw_re": result.raw.real, "raw_im": result.raw.imag,
+                 "value_re": values.real, "value_im": values.imag}
         if args.format == "csv":
-            _write([_estimate_csv(result, meta)], args.out)
+            _write(_estimate_csv(result, table, meta), args.out)
             if args.gnuplot:
                 path = args.out.replace("'", "''")  # gnuplot's escape within single quotes
                 Path(args.out + ".gp").write_text(
@@ -190,11 +192,8 @@ def _emit(result, args, t0):
                     "set xlabel 'u'\nset ylabel 'value'\n"
                     f"plot '{path}' using ($1/$2):5 with lines title 'value'\n")
             return
-        _write(_estimate_json(result, meta), args.out)
-        return
-    payload = {**result, "meta": meta}
-    _null_non_finite(payload)
-    _write([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"], args.out)
+        result = {"mode": result.mode, "normalizer": result.normalizer, "rows": table}
+    _write(itertools.chain(_json({**result, "meta": meta}), "\n"), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +237,8 @@ def _cmd_equidist(args):
         "mode": tally.mode, "q": tally.q,
         "u": {"num": tally.u.numerator, "den": tally.u.denominator},
         "x": tally.x,
-        "classes": [{"label": int(lab), "count": int(c), "density": float(c) / tally.x}
-                    for lab, c in zip(tally.labels, tally.counts)],
+        "classes": {"label": np.asarray(tally.labels), "count": tally.counts,
+                    "density": tally.counts / tally.x},
         "qualifying_total": tally.qualifying_total,
         "class_sum": int(tally.counts.sum()),
     }
@@ -272,9 +271,8 @@ def _op_wirsing(args):
 
 def _op_psi(args):
     prof = char_function(parse_spec(args.f), _parse_t_spec(args.t), args.P)
-    return {"P": prof.P,
-            "points": [{"t": float(t), "re": v.real, "im": v.imag, "tail_bound": float(b)}
-                       for t, v, b in zip(prof.ts, prof.values, prof.tail_bounds)]}
+    return {"P": prof.P, "points": {"t": prof.ts, "re": prof.values.real,
+                                    "im": prof.values.imag, "tail_bound": prof.tail_bounds}}
 
 
 def _op_kappa(args):
@@ -296,7 +294,7 @@ def _op_jumps(args):
 def _op_witness(args):
     f = parse_spec(args.f)
     try:
-        return {"found": True, "m": greedy_witness(f, args.v, args.u, args.p_cap)}
+        return {"found": True, "primes": greedy_witness(f, args.v, args.u, args.p_cap)}
     except WitnessNotFound as exc:
         return {"found": False, "reason": str(exc)}
 
@@ -314,8 +312,7 @@ def _cmd_invert(args):
     inv = invert(char_function(f, ts, args.P), points, T=args.T, step=args.step)
     return {"T": inv.T, "step": inv.step, "eps": inv.eps, "P": args.P,
             "isotonic_changed": inv.isotonic_changed, "slack_exceeded": inv.slack_exceeded,
-            "points": [{"x": float(p), "F": float(v), "raw": float(r)}
-                       for p, v, r in zip(inv.points, inv.values, inv.raw)]}
+            "points": {"x": inv.points, "F": inv.values, "raw": inv.raw}}
 
 
 def _cmd_compare(args):
@@ -325,7 +322,7 @@ def _cmd_compare(args):
     ts = _quadrature_grid(args.T, args.step, logs.size)  # all refusals come before the sieve runs
     if logs.size == 0:
         raise GridError("compare needs a grid with a threshold u > 0")
-    est = estimate_weighted_cdf(f, args.x, grid, cache_dir=_cache_dir())
+    est = estimate_normalized_cdf(f, args.x, grid, cache_dir=_cache_dir())  # psi's law has mass 1
     prof = char_function(f, ts, args.P)
     inv = invert(prof, logs, T=args.T, step=args.step)
     cmpres = sup_distance(est, inv)
@@ -418,10 +415,13 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"ddl: resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CatalogError, GridError, SieveError, InversionError, ValueError) as exc:
+    except ValueError as exc:  # the errors of bad input all derive from it
         print(f"ddl: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _emit(result, args, t0)
+    try:
+        _emit(result, args, t0)
+    except BrokenPipeError:  # the reader of stdout stopped early, as `ddl ... | head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit's flush
     return EXIT_OK
 
 

@@ -138,10 +138,7 @@ def invert(profile: CharFnProfile, points, T: float = DEFAULT_T,
     # so the truncated integral at x0 = 0 converges far too slowly to use
     # (the quadrature kernel of width ~1/T straddles the edge).  The value
     # there is the total mass itself, which the profile carries exactly.
-    edge = np.abs(points) <= 1e-12
-    if np.any(edge):
-        raw = raw.copy()
-        raw[edge] = 1.0
+    raw[np.abs(points) <= 1e-12] = 1.0
 
     slack_exceeded = bool(np.any(raw < -DEFAULT_SLACK) or np.any(raw > 1.0 + DEFAULT_SLACK))
     clipped = np.clip(raw, 0.0, 1.0)

@@ -337,7 +337,7 @@ def test_10_greedy_witnesses():
     for spec in ("one", "two_squares_indicator"):
         f = parse_spec(spec)
         for v, u in intervals:
-            m = greedy_witness(f, v, u)
+            m = math.prod(greedy_witness(f, v, u))
             sig = _sigma_squarefree_independent(m)
             ratio = Fraction(m, sig)
             ok = v < ratio <= u

@@ -225,6 +225,18 @@ def test_char_function_degenerate_cut_is_exact():
         assert np.allclose(prof.values, direct, rtol=0, atol=1e-12)
 
 
+def test_char_function_past_1e27():
+    # at |t| >= 1e30 every prime enters exactly, and a high level whose B_j
+    # rounds to 0 or below is near only if t |B_j| is small: the Taylor
+    # series in t B_j never sees a large phase, and the product stays finite
+    for f in (ONE, make("r"), make("tau")):
+        for P in (1000, 10 ** 6):
+            ts = np.array([1e30, -1e39, 1e100, 1e308])
+            prof = char_function(f, ts, P)
+            assert np.all(np.isfinite(prof.values)), (f.id, P, prof.values)
+            assert np.all(np.abs(prof.values) <= 1.0 + 1e-12), (f.id, P, prof.values)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(ts=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=8),
        spec=st.sampled_from(["one", "tau", "r", "mu_squared", "sigma_over_n"]),
@@ -284,6 +296,12 @@ def test_halasz_series():
         halasz_series(make("tau"), 0.0, 100)
     # beta twist changes the sum
     assert halasz_series(make("mu"), 1.0, 10 ** 4) != halasz_series(make("mu"), 0.0, 10 ** 4)
+    # at beta = 0 the twist e^{-i 0 log p} is exactly 1: the untwisted sum, to the bit
+    ps = primes_up_to(10 ** 5)  # one segment of the stream, so the same order of sums
+    for spec in ("one", "mu", "quadratic_character:q=7", "lambda:a=1,q=2", "lambda:a=1,q=3"):
+        f = ddl.parse_spec(spec)
+        plain = f.at_primes(ps).astype(np.complex128).real
+        assert halasz_series(f, 0.0, 10 ** 5) == float(np.sum((1.0 - plain) / ps)), spec
 
 
 def test_continuity_diagnostic():
@@ -312,13 +330,12 @@ def sigma_exact(m: int) -> int:
 
 
 def test_greedy_witness_examples():
-    assert greedy_witness(ONE, 0, 1) == 1
-    m = greedy_witness(ONE, Fraction(2, 5), Fraction(1, 2))
-    assert m == 6 and Fraction(6, sigma_exact(6)) == Fraction(1, 2)
-    ms = greedy_witness(make("two_squares_indicator"), Fraction(2, 5), Fraction(1, 2))
-    assert ms == 2210
-    assert ms == 2 * 5 * 13 * 17
-    assert Fraction(2, 5) < Fraction(ms, sigma_exact(ms)) <= Fraction(1, 2)
+    assert greedy_witness(ONE, 0, 1) == []
+    assert greedy_witness(ONE, Fraction(2, 5), Fraction(1, 2)) == [2, 3]
+    assert Fraction(6, sigma_exact(6)) == Fraction(1, 2)
+    assert greedy_witness(make("two_squares_indicator"), Fraction(2, 5),
+                          Fraction(1, 2)) == [2, 5, 13, 17]
+    assert Fraction(2, 5) < Fraction(2210, sigma_exact(2210)) <= Fraction(1, 2)
 
 
 def test_greedy_witness_postcondition_exact():
@@ -326,7 +343,7 @@ def test_greedy_witness_postcondition_exact():
              (Fraction(3, 10), Fraction(7, 20))]
     for f in (ONE, make("two_squares_indicator"), make("mu_squared")):
         for v, u in cases:
-            m = greedy_witness(f, v, u)
+            m = math.prod(greedy_witness(f, v, u))
             fac = oracles.factor_brute(m)
             assert all(j == 1 for _, j in fac)  # squarefree
             sig = 1
@@ -339,6 +356,18 @@ def test_greedy_witness_postcondition_exact():
 def test_greedy_witness_budget_failure():
     with pytest.raises(WitnessNotFound):
         greedy_witness(ONE, Fraction(2, 5), Fraction(1, 2), p_cap=2)
+
+
+def test_greedy_witness_sign_only():
+    # f(m) of tau and r is a power of 2 past the float range after about 1,000
+    # primes; only its sign decides, so they walk the primes that one and
+    # two_squares_indicator, with the same zeros, walk
+    cases = [("tau", "one", Fraction(9, 100), Fraction(1, 10)),
+             ("r", "two_squares_indicator", Fraction(28, 100), Fraction(29, 100))]
+    for spec, same_zeros, v, u in cases:
+        primes = greedy_witness(make(spec), v, u, p_cap=10 ** 6)
+        assert len(primes) > 1000
+        assert primes == greedy_witness(make(same_zeros), v, u, p_cap=10 ** 6)
 
 
 
@@ -404,9 +433,9 @@ def test_streamed_witness_equals_whole_array():
     f = make("two_squares_indicator")
     v, u = Fraction(3, 5) - Fraction(1, 10 ** 7), Fraction(3, 5)
     P = 4 * SEGMENT_SIZE + 1
-    m = greedy_witness(f, v, u, p_cap=P)
-    assert m == oracles.witness_whole(f, v, u, P)
-    assert m % 2_669_257 == 0
+    primes = greedy_witness(f, v, u, p_cap=P)
+    assert math.prod(primes) == oracles.witness_whole(f, v, u, P)
+    assert 2_669_257 in primes
     cases = [(Fraction(2, 5), Fraction(1, 2)), (Fraction(3, 10), Fraction(7, 20)),
              (Fraction(3, 5) - Fraction(1, 10 ** 5), Fraction(3, 5))]
     with oracles.segment_size(64):
@@ -418,7 +447,7 @@ def test_streamed_witness_equals_whole_array():
                         with pytest.raises(WitnessNotFound):
                             greedy_witness(f, v, u, p_cap=p_cap)
                     else:
-                        assert greedy_witness(f, v, u, p_cap=p_cap) == want
+                        assert math.prod(greedy_witness(f, v, u, p_cap=p_cap)) == want
 
 
 def test_prime_cap_checked_before_sieving():
@@ -426,4 +455,4 @@ def test_prime_cap_checked_before_sieving():
     with pytest.raises(ResourceLimitError, match="supported limit"):
         greedy_witness(ONE, 0, Fraction(1, 2), p_cap=PRIME_LIMIT + 1)
     # at the limit the walk sieves only the stream's first segment
-    assert greedy_witness(ONE, 0, Fraction(1, 2), p_cap=PRIME_LIMIT) == 6
+    assert greedy_witness(ONE, 0, Fraction(1, 2), p_cap=PRIME_LIMIT) == [2, 3]

@@ -1,10 +1,12 @@
 """CLI surface: schemas, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,9 @@ import pytest
 
 from ddl import cli
 from ddl.cli import main
+from ddl.analytic import char_function
 from ddl.empirical import ThresholdGrid, WeightedCdfEstimate, estimate_weighted_cdf
+from ddl.inversion import DEFAULT_STEP, _quadrature_grid, invert
 from ddl.multfunc import CatalogError, make, parse_spec
 from ddl.sieve import read_segment_cache, sigma_table, write_segment_cache
 
@@ -182,7 +186,7 @@ def test_analytic_subcommands_smoke(tmp_path):
     assert read_json(out)["diagnostic"] > 2
     assert run_cli("analytic", "witness", "--f", "one", "--v", "2/5",
                    "--u", "1/2", "--out", str(out)) == 0
-    assert read_json(out)["m"] == 6
+    assert read_json(out)["primes"] == [2, 3]
     assert run_cli("analytic", "witness", "--f", "one", "--v", "2/5",
                    "--u", "1/2", "--p-cap", "2", "--out", str(out)) == 0
     assert read_json(out)["found"] is False
@@ -378,21 +382,33 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.count("past 64 bits") == 2
     # a grid without a threshold u > 0 leaves nothing to compare: refused before the sieve
     def unreachable(*args, **kwargs):
-        raise AssertionError("estimate_weighted_cdf called before the grid was checked")
-    monkeypatch.setattr("ddl.cli.estimate_weighted_cdf", unreachable)
+        raise AssertionError("estimate_normalized_cdf called before the grid was checked")
+    monkeypatch.setattr("ddl.cli.estimate_normalized_cdf", unreachable)
     assert exit_code("compare", "--f", "one", "--x", "1000", "--P", "100", "--grid", "0") == 2
 
 
-def reference_estimate_json(est, meta) -> str:
-    """An estimate's JSON built the plain way: one dict per row, non-finite
+def null_non_finite(obj):
+    """A copy of obj with each non-finite float set to None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {k: null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [null_non_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def plain_json(payload: dict) -> str:
+    """A payload's JSON built the plain way: one dict per row, non-finite
     floats set to None, and json.dumps over the whole payload."""
+    return json.dumps(null_non_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def reference_estimate_json(est, meta) -> str:
     rows = [{"u_num": num, "u_den": den, "raw_re": r.real, "raw_im": r.imag,
              "value_re": v.real, "value_im": v.imag}
             for num, den, r, v in zip(est.grid.nums.tolist(), est.grid.dens.tolist(),
                                       est.raw, est.values)]
-    payload = {"mode": est.mode, "normalizer": est.normalizer, "rows": rows, "meta": meta}
-    cli._null_non_finite(payload)
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return plain_json({"mode": est.mode, "normalizer": est.normalizer, "rows": rows,
+                       "meta": meta})
 
 
 def test_estimate_json_written_row_by_row(tmp_path, monkeypatch):
@@ -403,16 +419,34 @@ def test_estimate_json_written_row_by_row(tmp_path, monkeypatch):
     est = estimate_weighted_cdf(make("one"), 1000, ThresholdGrid.parse("steps:1000"))
     assert text == reference_estimate_json(est, strict_json(text)["meta"])
     # rows across blocks, complex values, -0.0 and the non-finite floats, written as null
-    monkeypatch.setattr(cli, "_JSON_ROW_BLOCK", 7)
-    meta = {"config": {"x": 1}, "generated": {"timestamp": "t"}}
-    assert "".join(cli._estimate_json(est, meta)) == reference_estimate_json(est, meta)
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+
+    def emitted(result) -> str:
+        cli._emit(result, argparse.Namespace(format="json", out=str(out), gnuplot=False), 0.0)
+        return out.read_text()
+
+    text = emitted(est)
+    assert text == reference_estimate_json(est, strict_json(text)["meta"])
     grid = ThresholdGrid.parse("steps:20")
     raw = np.linspace(-3, 3, 21) + 1j * np.linspace(2, -2, 21)
     raw[[2, 5, 9, 15]] = [np.nan, np.inf + 1j, -np.inf * 1j, complex(-0.0, -0.0)]
     for normalizer in (7.5, math.inf):
         odd = WeightedCdfEstimate("one", 20, grid, raw, normalizer, "df")
         with np.errstate(invalid="ignore"):
-            assert "".join(cli._estimate_json(odd, meta)) == reference_estimate_json(odd, meta)
+            text = emitted(odd)
+            assert text == reference_estimate_json(odd, strict_json(text)["meta"])
+    # a table whose key does not sort last: invert's "points" come before "slack_exceeded"
+    assert run_cli("invert", "--f", "one", "--P", "1000", "--T", "20", "--out", str(out)) == 0
+    text = out.read_text()
+    points = ThresholdGrid.default().log_points()[1]
+    ts = _quadrature_grid(20, DEFAULT_STEP, points.size)
+    inv = invert(char_function(make("one"), ts, 1000), points, T=20)
+    assert text == plain_json({
+        "T": inv.T, "step": inv.step, "eps": inv.eps, "P": 1000,
+        "isotonic_changed": inv.isotonic_changed, "slack_exceeded": inv.slack_exceeded,
+        "points": [{"x": float(p), "F": float(v), "raw": float(r)}
+                   for p, v, r in zip(inv.points, inv.values, inv.raw)],
+        "meta": strict_json(text)["meta"]})
 
 
 def test_analytic_memory_does_not_grow_with_P():
@@ -428,6 +462,70 @@ def test_analytic_memory_does_not_grow_with_P():
                                    capture_output=True, text=True, timeout=120).stdout) / 1024
                 for P in ("5e6", "5e7")]
     assert abs(peaks_mb[1] - peaks_mb[0]) < 3.0, peaks_mb
+
+
+def test_table_memory_grows_with_its_rows_only():
+    # peak resident memory of `invert` and `equidist` in child processes, at
+    # 10^4 and 2 x 10^5 table rows: the rows are written a block at a time,
+    # so the peak grows by the table's arrays, not by a dict or a line per row
+    script = ("import os, resource, sys\n"
+              "from ddl.cli import main\n"
+              "assert main(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("DDL_CACHE_DIR", None)
+
+    def peak_mb(*argv):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        return int(proc.stdout) / 1024
+
+    invert = ["invert", "--f", "one", "--P", "100", "--T", "200", "--step", "50", "--points"]
+    equidist = ["equidist", "--mode", "coprime", "--u", "1/2", "--x", "1e5", "--q"]
+    for argv, sizes in ((invert, ("linspace:-5,-0.001,10000", "linspace:-5,-0.001,200000")),
+                        (equidist, ("10007", "200003"))):  # prime moduli: q - 1 classes
+        peaks = [peak_mb(*argv, size) for size in sizes]
+        assert peaks[1] - peaks[0] <= 40.0, (argv[0], peaks)
+
+
+def test_reader_leaving_early_is_not_an_error():
+    # `ddl ... | head`: the output streams a block at a time, and a reader that
+    # closes stdout before the end is not an error; nothing goes to stderr
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["analytic", "psi", "--f", "one", "--P", "100", "--t", "linspace:0,1,100000"]
+    proc = subprocess.Popen([sys.executable, "-m", "ddl.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "P": 1'
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+
+
+def test_large_witness_written_as_primes(tmp_path):
+    # m has 14,490 bits, past the 4,300 digits Python converts to a decimal string
+    out = tmp_path / "w.json"
+    v, u = Fraction(9, 100), Fraction(1, 10)
+    assert run_cli("analytic", "witness", "--f", "one", "--v", str(v), "--u", str(u),
+                   "--p-cap", "1e6", "--out", str(out)) == 0
+    payload = read_json(out)
+    primes = payload["primes"]
+    assert payload["found"] is True and primes == sorted(set(primes))
+    m, sigma = math.prod(primes), math.prod(p + 1 for p in primes)
+    assert m.bit_length() > 14_000
+    assert v < Fraction(m, sigma) <= u
+
+
+def test_compare_normalizes_the_estimate(tmp_path):
+    # psi is the law of a total mass 1, so compare uses the self-normalized
+    # estimate; for r and phi_over_n the gap stays within the inversion's slack
+    out = tmp_path / "cmp.json"
+    for spec in ("r", "phi_over_n"):
+        assert run_cli("compare", "--f", spec, "--x", "1e6", "--P", "1e6",
+                       "--out", str(out)) == 0
+        payload = read_json(out)
+        assert payload["sup_distance"] <= payload["budgets"]["inverted_eps"] == 0.02, spec
 
 
 def test_oversized_requests_refused_before_allocating():
