@@ -78,7 +78,7 @@ def _parse_t_spec(spec: str) -> np.ndarray:
             ts = np.linspace(float(a), float(b), _t_nodes(int(n)))
         else:
             ts = np.array([float(v) for v in spec.split(",")])
-        if np.all(np.isfinite(ts)):
+        if ts.size and np.all(np.isfinite(ts)):
             return ts
     except ResourceLimitError:
         raise
@@ -88,7 +88,7 @@ def _parse_t_spec(spec: str) -> np.ndarray:
 
 
 def _meta(args: argparse.Namespace, t0: float) -> dict:
-    config = {k: (str(v) if isinstance(v, (Fraction, Path)) else v)
+    config = {k: (str(v) if isinstance(v, Fraction) else v)
               for k, v in sorted(vars(args).items()) if k != "func"}
     return {
         "tool": "ddl",

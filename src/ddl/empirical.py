@@ -367,7 +367,7 @@ def equidist_tally(mode: str, q: int, u, x: int, **scan_kw) -> EquidistTally:
         # every residue is tallied; the coprime ones are picked out below
         qual = qualifies(chunk)
         key = chunk.omega[qual].astype(np.int64) if omega else chunk.n[qual]
-        return _weighted_sum(chunk.fvals, bins=key % q, m=q)
+        return _weighted_sum(None, bins=key % q, m=q)
     counts = _scan_sum(x, tally, with_omega=omega, **scan_kw)
     labels = tuple(c for c in range(q) if omega or math.gcd(c, q) == 1)
     return EquidistTally(mode, q, u, x, labels, counts[list(labels)], int(counts.sum()))

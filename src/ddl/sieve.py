@@ -22,13 +22,13 @@ masked by rem > 1 keeps its value at the leftover primes only; the value at
 discarded.  The values f(p^j) at the base primes are computed once per
 scan, one vectorized call per level j, and shared by every segment.
 
-Each scan owns its per-segment memory: n, sigma, rem, the two scratch
-buffers, f and Omega form one buffer set, allocated once per scan for
-SEGMENT_SIZE n.  The scan computes every segment in that set, moving n on
-in place, and computes the next segment only once the caller has asked for
-the next chunk, so a chunk's arrays, read-only views of the set, are valid
-until then, and no segment's arrays outlive its reduction.  A cache hit is
-read into the set's sigma.
+A scan is one generator.  Its locals are the base primes, the f(p^j)
+table and one buffer set (n, sigma, rem, the two scratch buffers, f and
+Omega), allocated once per scan for SEGMENT_SIZE n.  Every segment is
+computed in that set, n moved on in place, and only once the caller has
+asked for the next chunk, so a chunk's arrays, read-only views of the set,
+are valid until then; a segment's temporaries are freed before its chunk
+is handed out.  A cache hit is read into the set's sigma.
 
 Primes come from prime_segments, a segmented sieve of Eratosthenes over
 the odd numbers (slot i stands for 2i + 1) that hands them out as a stream,
@@ -188,128 +188,6 @@ def _check_bounds(lo: int, hi: int):
             "(sigma and threshold products are guaranteed exact only below it)")
 
 
-def _prime_power_table(primes, fdesc, x):
-    """f(p^j) for the base primes, one list per level j = 1, 2, ... holding
-    the primes with p^j <= x; None when f is not evaluated."""
-    if fdesc is None:
-        return None
-    table = []
-    pw = primes  # p^j for the primes still active, ascending; p^j <= x^1.5 fits int64
-    while True:
-        cnt = int(np.count_nonzero(pw <= x))
-        if cnt == 0:
-            return table
-        table.append(fdesc.prime_powers(primes[:cnt], len(table) + 1).tolist())
-        pw = pw[:cnt] * primes[:cnt]
-
-
-class _SegmentBuffers:
-    """The arrays a segment is computed in, allocated once per scan for its
-    first (longest) segment and reused for every segment the scan gives them;
-    a shorter last segment uses their first hi - lo + 1 entries.  n holds
-    the last segment computed here and is moved in place to the next one.
-    geo and fp take one factor per multiple of a base prime p, the most
-    being (size + 1) // 2 for p = 2."""
-
-    def __init__(self, size, fdesc, want_omega):
-        self.n = np.arange(1, size + 1, dtype=np.int64)
-        self.sigma = np.empty(size, dtype=np.int64)
-        self.rem = np.empty(size, dtype=np.uint32)
-        self.geo = None  # allocated when sigma is first sieved, not read from the cache
-        self.fv = self.fp = None
-        if fdesc is not None:
-            self.fv = np.empty(size, dtype=fdesc.dtype)
-            self.fp = np.empty(size // 2 + 1, dtype=fdesc.dtype)
-        self.om = np.empty(size, dtype=np.int16) if want_omega else None
-
-
-# f at the leftover primes is evaluated this many n at a time, so its int64
-# copy of rem and its result stay small next to the segment's own arrays
-_F_BLOCK = 1 << 16
-
-
-def _segment_tables(lo, hi, primes, fdesc, fpow, want_omega, buf, sigma_known=False):
-    """Core per-segment pass: sigma, f values and Omega over [lo, hi], computed
-    in buf (a _SegmentBuffers) and returned as views of it.
-
-    fpow is the scan's f(p^j) table (_prime_power_table); fdesc's rule gives
-    f at the prime left over above sqrt(hi).  sigma_known says that
-    buf.sigma already holds sigma over [lo, hi] (read from the cache)."""
-    size = hi - lo + 1
-    if buf.n[0] != lo:
-        buf.n += lo - int(buf.n[0])
-    n, sigma = buf.n[:size], buf.sigma[:size]
-    need_sigma = not sigma_known
-    if need_sigma:
-        sigma.fill(1)
-    fv = om = None
-    if fdesc is not None:
-        fv = buf.fv[:size]
-        fv.fill(1)
-    if want_omega:
-        om = buf.om[:size]
-        om.fill(0)
-
-    if need_sigma or fdesc is not None or want_omega:
-        rem = buf.rem[:size]
-        rem[...] = n  # n <= SIEVE_LIMIT < 2^32
-        if need_sigma and buf.geo is None:
-            buf.geo = np.empty(buf.n.size // 2 + 1, dtype=np.int64)
-        for i, p in enumerate(primes.tolist()):
-            if p * p > hi:
-                break
-            s1 = (-lo) % p
-            if s1 >= size:
-                continue
-            cnt = (size - 1 - s1) // p + 1
-            if need_sigma:
-                geo = buf.geo[:cnt]
-                geo.fill(1 + p)
-            if fdesc is not None:
-                fp = buf.fp[:cnt]
-                fp.fill(fpow[0][i])
-            rem[s1::p] //= p
-            if want_omega:
-                om[s1::p] += 1
-            q = p * p
-            j = 2
-            while q <= hi:
-                se = (-lo) % q
-                if se >= size:
-                    break
-                k0 = (se - s1) // p
-                st = q // p
-                if need_sigma:
-                    geo[k0::st] += q
-                if fdesc is not None:
-                    fp[k0::st] = fpow[j - 1][i]
-                rem[se::q] //= p
-                if want_omega:
-                    om[se::q] += 1
-                q *= p
-                j += 1
-            if need_sigma:
-                sigma[s1::p] *= geo
-            if fdesc is not None:
-                fv[s1::p] *= fp
-        # What is left in rem is 1 or one prime above sqrt(hi).
-        big = rem > 1
-        if want_omega:
-            om += big
-        if fdesc is not None:
-            # the rule's value at rem = 1 (0/0 for sigma_over_n) is dropped by the
-            # mask; elementwise, so the blocks give the values of one call
-            with np.errstate(all="ignore"):
-                for a in range(0, size, _F_BLOCK):
-                    b = a + _F_BLOCK
-                    np.multiply(fv[a:b], fdesc.at_primes(rem[a:b]), out=fv[a:b],
-                                where=big[a:b])
-        if need_sigma:
-            rem += big  # 1 + p for a leftover prime p, and 1 where rem = 1; p + 1 < 2^32
-            sigma *= rem
-    return n, sigma, fv, om
-
-
 @dataclass(frozen=True)
 class ScanChunk:
     """One segment's worth of per-n data handed to accumulators, as read-only
@@ -384,24 +262,120 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
     are valid until the next chunk is asked for, so a caller reduces or
     copies each chunk before it asks for the next one.
     """
-    x = int(x)
-    _check_bounds(1, x)
+    return _scan(1, int(x), f, with_omega, cache_dir)
+
+
+# f at the leftover primes is evaluated this many n at a time, so its int64
+# copy of rem and its result stay small next to the segment's own arrays
+_F_BLOCK = 1 << 16
+
+
+def _scan(first, x, f, want_omega, cache_dir):
+    """scan_segments over [first, x], in segments that start at first."""
+    _check_bounds(first, x)
     fdesc = None if (f is None or f.is_one) else f
     primes = primes_up_to(isqrt(x))
-    fpow = _prime_power_table(primes, fdesc, x)
-    size = SEGMENT_SIZE
-    buf = _SegmentBuffers(min(size, x), fdesc, with_omega)
-    for lo in range(1, x + 1, size):
-        hi = min(lo + size - 1, x)
+    # f(p^j) for the base primes, one list per level j = 1, 2, ... holding the
+    # primes with p^j <= x; pw is p^j for the primes still active, ascending,
+    # and p^j <= x^1.5 fits int64
+    fpow, pw = [], primes[:0] if fdesc is None else primes
+    while cnt := int(np.count_nonzero(pw <= x)):
+        fpow.append(fdesc.prime_powers(primes[:cnt], len(fpow) + 1).tolist())
+        pw = pw[:cnt] * primes[:cnt]
+    # The buffer set, sized for the first (longest) segment; a shorter last
+    # segment uses its first hi - lo + 1 entries.  geo and fp take one factor
+    # per multiple of a base prime p, the most being (size + 1) // 2 for p = 2.
+    step = SEGMENT_SIZE
+    n_buf = np.arange(first, first + min(step, x - first + 1), dtype=np.int64)
+    sigma_buf = np.empty(n_buf.size, dtype=np.int64)
+    rem_buf = np.empty(n_buf.size, dtype=np.uint32)
+    geo_buf = None  # allocated when sigma is first sieved, not read from the cache
+    if fdesc is not None:
+        fv_buf = np.empty(n_buf.size, dtype=fdesc.dtype)
+        fp_buf = np.empty(n_buf.size // 2 + 1, dtype=fdesc.dtype)
+    if want_omega:
+        om_buf = np.empty(n_buf.size, dtype=np.int16)
+    for lo in range(first, x + 1, step):
+        hi = min(lo + step - 1, x)
+        size = hi - lo + 1
+        if lo != first:
+            n_buf += step
+        n, sigma = n_buf[:size], sigma_buf[:size]
         # out goes positionally, so a wrapper taking the read's arguments as
         # *args passes it on
-        known = bool(cache_dir) and read_segment_cache(cache_dir, lo, hi,
-                                                       buf.sigma[:hi - lo + 1]) is not None
-        arrays = _segment_tables(lo, hi, primes, fdesc, fpow, with_omega, buf, known)
-        for a in arrays:
+        need_sigma = not (cache_dir and read_segment_cache(cache_dir, lo, hi, sigma) is not None)
+        if need_sigma:
+            sigma.fill(1)
+        fv = om = None
+        if fdesc is not None:
+            fv = fv_buf[:size]
+            fv.fill(1)
+        if want_omega:
+            om = om_buf[:size]
+            om.fill(0)
+
+        if need_sigma or fdesc is not None or want_omega:
+            rem = rem_buf[:size]
+            rem[...] = n  # n <= SIEVE_LIMIT < 2^32
+            if need_sigma and geo_buf is None:
+                geo_buf = np.empty(n_buf.size // 2 + 1, dtype=np.int64)
+            for i, p in enumerate(primes.tolist()):
+                if p * p > hi:
+                    break
+                s1 = (-lo) % p
+                if s1 >= size:
+                    continue
+                cnt = (size - 1 - s1) // p + 1
+                if need_sigma:
+                    geo = geo_buf[:cnt]
+                    geo.fill(1 + p)
+                if fdesc is not None:
+                    fp = fp_buf[:cnt]
+                    fp.fill(fpow[0][i])
+                rem[s1::p] //= p
+                if want_omega:
+                    om[s1::p] += 1
+                q = p * p
+                j = 2
+                while q <= hi:
+                    se = (-lo) % q
+                    if se >= size:
+                        break
+                    k0 = (se - s1) // p
+                    st = q // p
+                    if need_sigma:
+                        geo[k0::st] += q
+                    if fdesc is not None:
+                        fp[k0::st] = fpow[j - 1][i]
+                    rem[se::q] //= p
+                    if want_omega:
+                        om[se::q] += 1
+                    q *= p
+                    j += 1
+                if need_sigma:
+                    sigma[s1::p] *= geo
+                if fdesc is not None:
+                    fv[s1::p] *= fp
+            # What is left in rem is 1 or one prime above sqrt(hi).
+            big = rem > 1
+            if want_omega:
+                om += big
+            if fdesc is not None:
+                # the rule's value at rem = 1 (0/0 for sigma_over_n) is dropped by the
+                # mask; elementwise, so the blocks give the values of one call
+                with np.errstate(all="ignore"):
+                    for a in range(0, size, _F_BLOCK):
+                        b = a + _F_BLOCK
+                        np.multiply(fv[a:b], fdesc.at_primes(rem[a:b]), out=fv[a:b],
+                                    where=big[a:b])
+            if need_sigma:
+                rem += big  # 1 + p for a leftover prime p, and 1 where rem = 1; p + 1 < 2^32
+                sigma *= rem
+            del big  # a generator's locals outlive its yield
+        for a in (n, sigma, fv, om):
             if a is not None:
                 a.flags.writeable = False
-        yield ScanChunk(lo, hi, *arrays)
+        yield ScanChunk(lo, hi, n, sigma, fv, om)
 
 
 def sigma_table(x: int, *, cache_dir: str | None = None) -> np.ndarray:

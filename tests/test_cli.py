@@ -332,8 +332,10 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     psi = ("analytic", "psi", "--f", "one", "--P", "100", "--t")
     assert exit_code(*psi, "bogus") == 2
     assert exit_code(*psi, "linspace:0,1,-5") == 2
+    assert exit_code(*psi, "linspace:0,1,0") == 2
     assert exit_code(*psi, "0,nan") == 2
     assert exit_code("invert", "--f", "one", "--P", "100", "--points", "bogus") == 2
+    assert exit_code("invert", "--f", "one", "--P", "100", "--points", "linspace:-1,0,0") == 2
     assert exit_code("invert", "--f", "one", "--P", "100", "--step", "0") == 2
     assert exit_code("compare", "--f", "one", "--x", "100", "--P", "100", "--step", "0") == 2
     for T, step in (("nan", "0.05"), ("inf", "0.05"), ("200", "nan"), ("200", "-0.05")):
@@ -591,3 +593,35 @@ def test_traced_benchmark_call(tmp_path):
     trace = json.loads(spans.read_text())
     assert trace["spans"]
     assert trace["counts"]["sieve.passes"] == 1
+
+
+def test_tracer_counts_a_plain_and_a_cached_scan(tmp_path):
+    # the tracer's counters on one uncached and one cached scan: it finds the
+    # scan, the cache read and the base primes by name, so a call that
+    # bypassed a traced name would show here as a wrong count
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("DDL_CACHE_DIR", None)
+    cache = tmp_path / "cache"
+    assert run_cli("sieve-cache", "--x", "3000", "--dir", str(cache),
+                   "--out", str(tmp_path / "written.json")) == 0
+
+    def traced(f, **extra_env):
+        spans = tmp_path / f"spans_{f}.json"
+        proc = subprocess.run([sys.executable, str(root / "benchmarks" / "tracing.py"), str(spans),
+                               "estimate", "--f", f, "--x", "3000",
+                               "--out", str(tmp_path / f"est_{f}.csv")],
+                              cwd=root, env={**env, **extra_env}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(spans.read_text())
+        names = {span[0] for span in trace["spans"]}
+        assert {"cli.main", "sieve.primes_up_to", "sieve.scan_step"} <= names, names
+        return trace["counts"]
+
+    plain = traced("one")
+    assert (plain["sieve.passes"], plain["sieve.n_scanned"]) == (1, 3000)
+    assert (plain["sieve.cache_hits"], plain["sieve.cache_misses"]) == (0, 0)
+    cached = traced("tau", DDL_CACHE_DIR=str(cache))
+    assert (cached["sieve.passes"], cached["sieve.n_scanned"]) == (1, 3000)
+    assert (cached["sieve.cache_hits"], cached["sieve.cache_misses"]) == (1, 0)

@@ -7,9 +7,8 @@ import pytest
 
 from ddl.multfunc import catalog_ids, make, parse_spec
 from ddl.sieve import (PRIME_LIMIT, ResourceLimitError, SEGMENT_SIZE, SIEVE_LIMIT, SieveError,
-                       _SegmentBuffers, _prime_power_table, _segment_tables, prime_segments,
-                       primes_up_to, read_segment_cache, scan_segments, sigma_table,
-                       write_segment_cache)
+                       _scan, prime_segments, primes_up_to, read_segment_cache, scan_segments,
+                       sigma_table, write_segment_cache)
 
 import oracles
 
@@ -230,9 +229,8 @@ def test_segment_tables_at_sieve_limit():
     # the largest sigma products the sieve forms, in one short segment ending at
     # SIEVE_LIMIT; a leftover prime near 4e9 plus 1 still fits the uint32 cofactor
     lo, hi = SIEVE_LIMIT - 4095, SIEVE_LIMIT
-    primes = primes_up_to(isqrt(hi))
-    n, sigma, _, _ = _segment_tables(lo, hi, primes, None, None, False,
-                                     _SegmentBuffers(hi - lo + 1, None, False))
+    (chunk,) = _scan(lo, hi, None, False, None)
+    n, sigma = chunk.n, chunk.sigma
     assert np.array_equal(n, np.arange(lo, hi + 1))
     # the primes among the last 100 n, by trial division: their leftover is n itself
     prime_ks = [m - lo for m in range(hi - 99, hi + 1) if oracles.factor_brute(m) == [(m, 1)]]
@@ -245,8 +243,8 @@ def test_segment_tables_at_sieve_limit():
     # f and Omega over the same segment, sigma sieved alongside them
     for spec in ("tau", "phi_over_n", "r"):
         f = make(spec)
-        _, sigma_f, fv, om = _segment_tables(lo, hi, primes, f, _prime_power_table(primes, f, hi),
-                                             True, _SegmentBuffers(hi - lo + 1, f, True))
+        (chunk,) = _scan(lo, hi, f, True, None)
+        sigma_f, fv, om = chunk.sigma, chunk.fvals, chunk.omega
         assert np.array_equal(sigma_f, sigma)
         for k, fac in facs.items():
             m = int(n[k])
