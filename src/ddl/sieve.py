@@ -284,7 +284,7 @@ def _scan(first, x, f, want_omega, cache_dir):
         pw = pw[:cnt] * primes[:cnt]
     # The buffer set, sized for the first (longest) segment; a shorter last
     # segment uses its first hi - lo + 1 entries.  geo and fp take one factor
-    # per multiple of a base prime p, the most being (size + 1) // 2 for p = 2.
+    # per multiple of a base prime p, the most being (n_buf.size + 1) // 2 for p = 2.
     step = SEGMENT_SIZE
     n_buf = np.arange(first, first + min(step, x - first + 1), dtype=np.int64)
     sigma_buf = np.empty(n_buf.size, dtype=np.int64)
