@@ -8,7 +8,13 @@ k = ceil(D n / sigma(n)) indexes a table, built once per grid, of the first
 grid index j with u_j > (k-1)/D.  That is the answer unless a threshold lies
 strictly inside the bucket, which needs the cap; those n alone step up by
 exact comparisons n * den <= num * sigma(n), never past the first index with
-u_j >= k/D.  No floating-point rounding can change a raw count.
+u_j >= k/D.  No floating-point rounding can change a raw count.  With D
+the lcm, the table lookup overwrites k in place, in one int64 buffer that
+the estimate keeps for its whole scan, one slot per n of a segment (a
+short segment with more lattice points than n replaces it).  So
+qualification allocates no segment-sized array after the first chunk, and
+no freed array is handed back to the kernel and faulted in again one
+segment later.
 Two normalizations are provided: by x (plain density) and by S(f;x) =
 sum_{n<=x} f(n) (self-normalized, so the value at u = 1 is exactly 1).
 
@@ -163,7 +169,7 @@ def _bucket_tables(grid: ThresholdGrid):
 
 
 def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
-                      tables) -> np.ndarray:
+                      tables, buf: np.ndarray) -> np.ndarray:
     """Per element, the smallest grid index j with n * den_j <= num_j * sigma(n),
     or len(grid) where none qualifies.
 
@@ -171,15 +177,22 @@ def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
     is lo[k] unless thresholds lie strictly inside that bucket; only those
     elements step up by exact comparisons, at most to hi[k].  All of it is
     int64 arithmetic (_check_threshold_products).
+
+    k is computed in buf, an int64 array of at least n.size entries.  When no
+    threshold lies inside a bucket (hi None) the gather lo[k] overwrites k in
+    place and the result is a view of buf: each k is read before its slot is
+    written, and 1 <= k <= D because sigma(n) >= n, so every k indexes lo and
+    mode="clip" never clips (mode="raise" would copy out first).  The capped
+    path reads k after the gather and keeps its indices apart.
     """
     D, lo, hi = tables
-    k = n * D  # then ceil in place: no segment-sized temporary besides k
+    k = np.multiply(n, D, out=buf[:n.size])  # then ceil in place
     k += sigma
     k -= 1
     k //= sigma
-    idx = np.take(lo, k)
     if hi is None:
-        return idx
+        return np.take(lo, k, out=k, mode="clip")
+    idx = np.take(lo, k)
     act = np.nonzero(idx < np.take(hi, k))[0]
     while act.size:
         j = idx[act]
@@ -264,10 +277,16 @@ def _threshold_sums(f, x, grid, points=None, **scan_kw):
         grid = ThresholdGrid.default()
     _check_threshold_products(x, grid)
     tables, m = _bucket_tables(grid), len(grid) + 1
+    buf = np.empty(0, dtype=np.int64)  # k, then the grid index: one per n or point
 
     def histogram(chunk):
+        nonlocal buf
         n, sigma = (chunk.n, chunk.sigma) if points is None else points(chunk)
-        idx = _first_qualifying(n, sigma, grid, tables)
+        if buf.size < n.size:
+            # a segment's worth: about 0.79 lattice points per n, so only a short
+            # segment with more points than n replaces it
+            buf = np.empty(max(n.size, chunk.n.size), dtype=np.int64)
+        idx = _first_qualifying(n, sigma, grid, tables, buf)
         return _weighted_sum(chunk.fvals, bins=idx, m=m)
     # raw[j] sums bins 0..j, the n meeting u_j; the last bin holds those meeting none
     ext = np.cumsum(_scan_sum(x, histogram, f=f, **scan_kw))

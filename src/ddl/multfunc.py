@@ -256,8 +256,7 @@ def _build_lambda(a: int, q: int):
 
 def _build_r():
     def vector(ps, j):
-        res = np.full(ps.shape, 1.0 if j % 2 == 0 else 0.0)
-        res[ps % 4 == 1] = float(j + 1)
+        res = np.where((ps & 3) == 1, float(j + 1), 1.0 if j % 2 == 0 else 0.0)
         res[ps == 2] = 1.0
         return res
 
@@ -269,10 +268,9 @@ def _build_r():
 
 def _build_two_squares_indicator():
     def vector(ps, j):
-        res = np.ones(ps.shape)
-        if j % 2 == 1:
-            res[ps % 4 == 3] = 0.0
-        return res
+        if j % 2 == 0:
+            return np.ones(ps.shape)
+        return np.where((ps & 3) == 3, 0.0, 1.0)
 
     return {}, vector, dict(
         nonneg=True, unit_disc=True, complex_valued=False,

@@ -16,8 +16,10 @@ multiples of p, 1 + p + ... + p^j for sigma and f(p^j) for f, are slices of
 two scratch buffers of size // 2 + 1.  What is left in rem is 1 or one
 prime p above sqrt(hi).  sigma takes its factor 1 + p in one unmasked
 multiply by rem + (rem > 1), and Omega its count by adding rem > 1.  f's
-rule runs on every rem, 1 included, 2^16 n at a time, and one multiply
-masked by rem > 1 keeps its value at the leftover primes only; the value at
+rule runs on every rem, 1 included, SEGMENT_SIZE // 16 n at a time (2^16),
+and one multiply masked by rem > 1 keeps its value at the leftover primes
+only; the block tracks the segment, so the rule's temporaries stay a
+sixteenth of the segment's arrays at any segment size.  The value at
 1 (0/0 for sigma_over_n) is computed with floating-point warnings off and
 discarded.  The values f(p^j) at the base primes are computed once per
 scan, one vectorized call per level j, and shared by every segment.
@@ -265,11 +267,6 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
     return _scan(1, int(x), f, with_omega, cache_dir)
 
 
-# f at the leftover primes is evaluated this many n at a time, so its int64
-# copy of rem and its result stay small next to the segment's own arrays
-_F_BLOCK = 1 << 16
-
-
 def _scan(first, x, f, want_omega, cache_dir):
     """scan_segments over [first, x], in segments that start at first."""
     _check_bounds(first, x)
@@ -286,6 +283,9 @@ def _scan(first, x, f, want_omega, cache_dir):
     # segment uses its first hi - lo + 1 entries.  geo and fp take one factor
     # per multiple of a base prime p, the most being (n_buf.size + 1) // 2 for p = 2.
     step = SEGMENT_SIZE
+    # f at the leftover primes is evaluated fblock n at a time, so its int64
+    # copy of rem and its result stay small next to the segment's own arrays
+    fblock = max(step // 16, 1)
     n_buf = np.arange(first, first + min(step, x - first + 1), dtype=np.int64)
     sigma_buf = np.empty(n_buf.size, dtype=np.int64)
     rem_buf = np.empty(n_buf.size, dtype=np.uint32)
@@ -364,8 +364,8 @@ def _scan(first, x, f, want_omega, cache_dir):
                 # the rule's value at rem = 1 (0/0 for sigma_over_n) is dropped by the
                 # mask; elementwise, so the blocks give the values of one call
                 with np.errstate(all="ignore"):
-                    for a in range(0, size, _F_BLOCK):
-                        b = a + _F_BLOCK
+                    for a in range(0, size, fblock):
+                        b = a + fblock
                         np.multiply(fv[a:b], fdesc.at_primes(rem[a:b]), out=fv[a:b],
                                     where=big[a:b])
             if need_sigma:

@@ -16,7 +16,7 @@ from ddl.empirical import (_BUCKET_CAP, GridError, ThresholdGrid, _bucket_tables
                            lattice_circle_cdf, partial_summation_check,
                            smoothed_indicator_mean)
 from ddl.multfunc import make, parse_spec
-from ddl.sieve import SIEVE_LIMIT, ResourceLimitError
+from ddl.sieve import SIEVE_LIMIT, ResourceLimitError, sigma_table
 
 import oracles
 
@@ -200,7 +200,8 @@ def test_first_qualifying_matches_brute(kind, qual_sigma):
         grid = tight_grid(sig)
     D, lo, hi = _bucket_tables(grid)
     n = np.arange(1, QUAL_X + 1, dtype=np.int64)
-    got = _first_qualifying(n, sig[1:], grid, (D, lo, hi))
+    buf = np.empty(QUAL_X + 3, dtype=np.int64)  # a buffer may be longer than the chunk
+    got = _first_qualifying(n, sig[1:], grid, (D, lo, hi), buf)
     fr = oracles.grid_fractions(grid)
     want = [oracles.brute_first_qualifying(int(v), int(sig[v]), fr) for v in n]
     assert got.tolist() == want
@@ -220,6 +221,27 @@ def test_first_qualifying_matches_brute(kind, qual_sigma):
         assert np.any(inside & (got == lo[k]))
         edges = {(D * u.numerator) // u.denominator + d for u in fr for d in (0, 1, 2)}
         check_bucket_tables(grid, sorted(e for e in edges if e <= D))
+
+
+def test_first_qualifying_gathers_in_the_given_buffer():
+    # with D the lcm, the grid index overwrites the bucket index in place: the
+    # result is a view of the buffer and no n-sized array is allocated
+    size = 2 ** 20
+    grid = ThresholdGrid.default()  # u_j = j/200, so the answer is ceil(200 n / sigma)
+    tables = _bucket_tables(grid)
+    assert tables[0] == 200 and tables[2] is None
+    n = np.arange(1, size + 1, dtype=np.int64)
+    sigma = sigma_table(size)[1:]
+    buf = np.empty(size, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = _first_qualifying(n, sigma, grid, tables, buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(got, buf)
+    assert peak < 2 ** 20
+    assert np.array_equal(got, -(-200 * n // sigma))
 
 
 def test_bucket_products_fit_int64():
@@ -367,9 +389,9 @@ def test_estimate_segment_and_worker_invariance():
 def test_scan_memory_per_segment_slot():
     # a scan computes every segment in one set of buffers and keeps no chunk
     # past its reduction.  Held per slot: n, sigma and f (32 bytes), the
-    # cofactor and the two per-prime scratch halves (16); while a chunk is
-    # reduced, the bucket index and the grid index (16) and a bincount weight
-    # copy (8).
+    # cofactor and the two per-prime scratch halves (16), and the bucket
+    # index and the grid index, which share 8 bytes kept for the whole scan;
+    # while a chunk is reduced, a bincount weight copy (8).
     size = 2 ** 14
     f = parse_spec("lambda:a=1,q=3")
     with oracles.segment_size(size):

@@ -100,6 +100,21 @@ def test_r_prime_power_table():
         assert r.prime_power(3, j) == (1 - j % 2)  # 3 = 3 mod 4
 
 
+def test_two_squares_rules_match_closed_forms_bitwise():
+    # the sieve runs both rules on every leftover prime; 2 and both odd
+    # classes mod 4, as int64 and as the sieve's uint32 cofactors
+    ps = oracles.primes_brute(10 ** 4)
+    assert ps[0] == 2
+    r, two_sq = make("r"), make("two_squares_indicator")
+    for j in range(1, 5):
+        want_r = np.array([1.0 if p == 2 else float(j + 1) if p % 4 == 1 else float(1 - j % 2)
+                           for p in ps.tolist()])
+        want_sq = np.array([0.0 if p % 4 == 3 and j % 2 == 1 else 1.0 for p in ps.tolist()])
+        for arg in (ps, ps.astype(np.uint32)):
+            assert r.prime_powers(arg, j).tobytes() == want_r.tobytes(), j
+            assert two_sq.prime_powers(arg, j).tobytes() == want_sq.tobytes(), j
+
+
 def test_full_evaluation_against_brute_force():
     tau, mu, mu2 = make("tau"), make("mu"), make("mu_squared")
     phi_n, sig_n, r = make("phi_over_n"), make("sigma_over_n"), make("r")
