@@ -13,16 +13,36 @@ exact because n <= SIEVE_LIMIT < 2^32, and so is the step below that adds 1
 to a leftover prime, since SIEVE_LIMIT + 1 < 2^32 as well.  The strided
 divisions then move half the bytes of int64.  Each prime's factors for the
 multiples of p, 1 + p + ... + p^j for sigma and f(p^j) for f, are slices of
-two scratch buffers of size // 2 + 1.  What is left in rem is 1 or one
-prime p above sqrt(hi).  sigma takes its factor 1 + p in one unmasked
-multiply by rem + (rem > 1), and Omega its count by adding rem > 1.  f's
-rule runs on every rem, 1 included, SEGMENT_SIZE // 16 n at a time (2^16),
-and one multiply masked by rem > 1 keeps its value at the leftover primes
-only; the block tracks the segment, so the rule's temporaries stay a
-sixteenth of the segment's arrays at any segment size.  The value at
-1 (0/0 for sigma_over_n) is computed with floating-point warnings off and
-discarded.  The values f(p^j) at the base primes are computed once per
-scan, one vectorized call per level j, and shared by every segment.
+two scratch buffers.  What is left in rem is 1 or one prime p above
+sqrt(hi).  sigma takes its factor 1 + p in one unmasked multiply by
+rem + (rem > 1), and Omega its count by adding rem > 1.  f's rule runs on
+every rem, 1 included, and one multiply masked by rem > 1 keeps its value
+at the leftover primes only.  The value at 1 (0/0 for sigma_over_n) is
+computed with floating-point warnings off and discarded.  The values f(p^j)
+at the base primes are computed once per scan, one vectorized call per
+level j, and shared by every segment.
+
+The kernel is cache-blocked.  A segment's sigma (8 MB), rem (4 MB) and f
+(8 or 16 MB) are far larger than a core's L2 cache (2 MB), so a strided
+pass over them costs about the same for every small p: it is bound by
+memory bandwidth.  Each segment is cut into blocks of equal length (to
+within one) of at most L = SEGMENT_SIZE // 8 = 2^17 n, and worked in three
+steps.  The base primes below B = 128 strike one block at a time, while the
+block's rem, sigma, f and Omega stay in L2.  The base primes from B to
+sqrt(hi) then strike the whole segment.  Last, the leftover-prime step runs
+block by block, so the rule's temporaries are a block's worth.  B and L
+were chosen by an in-process sweep over B = 16-512 and L = 2^14-2^19
+(BENCH_blocked.json).  The order of the steps is fixed: every n takes its
+factors in ascending prime order, then the leftover prime's, as in one
+pass over the segment, so f(n) is the same float product at any block
+length; striking the large primes first changes f's last bit.  The scratch
+buffers hold one factor per multiple of a prime in a block, or for p >= B
+in the segment: max(L // 2, ceil(SEGMENT_SIZE / B)) + 1 entries, a
+sixteenth of the segment.  When a segment has more than one block, each
+block is at least 2 B n long, so each small prime strikes it at least
+twice: numpy rounds an in-place complex multiply of a one-element array
+differently from a longer one, so a single strike could change f's last
+bit.
 
 A scan is one generator.  Its locals are the base primes, the f(p^j)
 table and one buffer set (n, sigma, rem, the two scratch buffers, f and
@@ -60,6 +80,7 @@ import math
 import os
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
@@ -87,6 +108,12 @@ __all__ = [
 # segment bounds, so most cache files written before match no segment: they
 # are missed and sieved again.
 SEGMENT_SIZE = 1 << 20
+
+# The scan's kernel strikes the base primes below _SMALL_PRIME_BOUND into one
+# block of at most SEGMENT_SIZE // _BLOCKS_PER_SEGMENT n at a time, and the
+# larger ones into the whole segment (see the module docstring).
+_SMALL_PRIME_BOUND = 128
+_BLOCKS_PER_SEGMENT = 8
 
 # Upper bound on sieved n.  sigma(n) < n (1 + ln n) keeps every threshold
 # product num * sigma(n) with num <= 10^6 far below 2^63, and lets cache
@@ -267,6 +294,52 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
     return _scan(1, int(x), f, with_omega, cache_dir)
 
 
+def _strike(lo, rem, sigma, fv, om, ps, fpow, i0, i1, geo_buf, fp_buf):
+    """Divide the base primes ps[i0:i1], in ascending order, out of rem over
+    the block [lo, lo + rem.size): multiply each p^j's factor into sigma and
+    fv and add j to om, each skipped when None.  fpow[j - 1][i] is
+    f(ps[i]^j); geo_buf and fp_buf hold one factor per multiple of a prime
+    in the block."""
+    size = rem.size
+    hi = lo + size - 1
+    for i in range(i0, i1):
+        p = ps[i]
+        s1 = (-lo) % p
+        if s1 >= size:
+            continue
+        cnt = (size - 1 - s1) // p + 1
+        if sigma is not None:
+            geo = geo_buf[:cnt]
+            geo.fill(1 + p)
+        if fv is not None:
+            fp = fp_buf[:cnt]
+            fp.fill(fpow[0][i])
+        rem[s1::p] //= p
+        if om is not None:
+            om[s1::p] += 1
+        q = p * p
+        j = 2
+        while q <= hi:
+            se = (-lo) % q
+            if se >= size:
+                break
+            k0 = (se - s1) // p
+            st = q // p
+            if sigma is not None:
+                geo[k0::st] += q
+            if fv is not None:
+                fp[k0::st] = fpow[j - 1][i]
+            rem[se::q] //= p
+            if om is not None:
+                om[se::q] += 1
+            q *= p
+            j += 1
+        if sigma is not None:
+            sigma[s1::p] *= geo
+        if fv is not None:
+            fv[s1::p] *= fp
+
+
 def _scan(first, x, f, want_omega, cache_dir):
     """scan_segments over [first, x], in segments that start at first."""
     _check_bounds(first, x)
@@ -279,20 +352,26 @@ def _scan(first, x, f, want_omega, cache_dir):
     while cnt := int(np.count_nonzero(pw <= x)):
         fpow.append(fdesc.prime_powers(primes[:cnt], len(fpow) + 1).tolist())
         pw = pw[:cnt] * primes[:cnt]
+    ps = primes.tolist()
+    small = bisect_left(ps, _SMALL_PRIME_BOUND)
     # The buffer set, sized for the first (longest) segment; a shorter last
-    # segment uses its first hi - lo + 1 entries.  geo and fp take one factor
-    # per multiple of a base prime p, the most being (n_buf.size + 1) // 2 for p = 2.
+    # segment uses its first hi - lo + 1 entries.
     step = SEGMENT_SIZE
-    # f at the leftover primes is evaluated fblock n at a time, so its int64
-    # copy of rem and its result stay small next to the segment's own arrays
-    fblock = max(step // 16, 1)
+    # A segment is cut into ceil(size / block) blocks of equal length (to
+    # within one), so a segment of more than one block has blocks of at
+    # least 2 B n, which each small prime strikes at least twice.
+    block = max(step // _BLOCKS_PER_SEGMENT, 4 * _SMALL_PRIME_BOUND)
     n_buf = np.arange(first, first + min(step, x - first + 1), dtype=np.int64)
     sigma_buf = np.empty(n_buf.size, dtype=np.int64)
     rem_buf = np.empty(n_buf.size, dtype=np.uint32)
+    # geo and fp take one factor per multiple of a base prime p: at most
+    # ceil(block / 2) for p = 2 in a block, ceil(size / B) for p >= B in a segment
+    strikes = max(min(block, n_buf.size) // 2, -(-n_buf.size // _SMALL_PRIME_BOUND)) + 1
     geo_buf = None  # allocated when sigma is first sieved, not read from the cache
+    fv_buf = fp_buf = om_buf = None
     if fdesc is not None:
         fv_buf = np.empty(n_buf.size, dtype=fdesc.dtype)
-        fp_buf = np.empty(n_buf.size // 2 + 1, dtype=fdesc.dtype)
+        fp_buf = np.empty(strikes, dtype=fdesc.dtype)
     if want_omega:
         om_buf = np.empty(n_buf.size, dtype=np.int16)
     for lo in range(first, x + 1, step):
@@ -304,73 +383,39 @@ def _scan(first, x, f, want_omega, cache_dir):
         # out goes positionally, so a wrapper taking the read's arguments as
         # *args passes it on
         need_sigma = not (cache_dir and read_segment_cache(cache_dir, lo, hi, sigma) is not None)
-        if need_sigma:
-            sigma.fill(1)
-        fv = om = None
-        if fdesc is not None:
-            fv = fv_buf[:size]
-            fv.fill(1)
-        if want_omega:
-            om = om_buf[:size]
-            om.fill(0)
-
-        if need_sigma or fdesc is not None or want_omega:
-            rem = rem_buf[:size]
-            rem[...] = n  # n <= SIEVE_LIMIT < 2^32
-            if need_sigma and geo_buf is None:
-                geo_buf = np.empty(n_buf.size // 2 + 1, dtype=np.int64)
-            for i, p in enumerate(primes.tolist()):
-                if p * p > hi:
-                    break
-                s1 = (-lo) % p
-                if s1 >= size:
-                    continue
-                cnt = (size - 1 - s1) // p + 1
-                if need_sigma:
-                    geo = geo_buf[:cnt]
-                    geo.fill(1 + p)
-                if fdesc is not None:
-                    fp = fp_buf[:cnt]
-                    fp.fill(fpow[0][i])
-                rem[s1::p] //= p
-                if want_omega:
-                    om[s1::p] += 1
-                q = p * p
-                j = 2
-                while q <= hi:
-                    se = (-lo) % q
-                    if se >= size:
-                        break
-                    k0 = (se - s1) // p
-                    st = q // p
-                    if need_sigma:
-                        geo[k0::st] += q
-                    if fdesc is not None:
-                        fp[k0::st] = fpow[j - 1][i]
-                    rem[se::q] //= p
-                    if want_omega:
-                        om[se::q] += 1
-                    q *= p
-                    j += 1
-                if need_sigma:
-                    sigma[s1::p] *= geo
-                if fdesc is not None:
-                    fv[s1::p] *= fp
+        if need_sigma and geo_buf is None:
+            geo_buf = np.empty(strikes, dtype=np.int64)
+        fv = None if fv_buf is None else fv_buf[:size]
+        om = None if om_buf is None else om_buf[:size]
+        # the arrays to sieve: sigma unless read from the cache, f and Omega when asked for
+        arrays = (rem_buf[:size], sigma if need_sigma else None, fv, om)
+        if any(a is not None for a in arrays[1:]):
+            nbase = bisect_right(ps, isqrt(hi))  # the primes with p^2 <= hi
+            nsmall = min(small, nbase)
+            k = -(-size // block)
+            slices = [slice(size * i // k, size * (i + 1) // k) for i in range(k)]
+            blocks = [tuple(None if a is None else a[s] for a in arrays) for s in slices]
+            # Each n takes its factors in ascending prime order, the leftover
+            # prime last, so f(n) is the same product at any block length.
+            for s, (rem, sig, fv_b, om_b) in zip(slices, blocks):
+                rem[...] = n[s]  # n <= SIEVE_LIMIT < 2^32
+                for a, one in ((sig, 1), (fv_b, 1), (om_b, 0)):
+                    if a is not None:
+                        a.fill(one)
+                _strike(lo + s.start, rem, sig, fv_b, om_b, ps, fpow, 0, nsmall, geo_buf, fp_buf)
+            _strike(lo, *arrays, ps, fpow, nsmall, nbase, geo_buf, fp_buf)
             # What is left in rem is 1 or one prime above sqrt(hi).
-            big = rem > 1
-            if want_omega:
-                om += big
-            if fdesc is not None:
-                # the rule's value at rem = 1 (0/0 for sigma_over_n) is dropped by the
-                # mask; elementwise, so the blocks give the values of one call
-                with np.errstate(all="ignore"):
-                    for a in range(0, size, fblock):
-                        b = a + fblock
-                        np.multiply(fv[a:b], fdesc.at_primes(rem[a:b]), out=fv[a:b],
-                                    where=big[a:b])
-            if need_sigma:
-                rem += big  # 1 + p for a leftover prime p, and 1 where rem = 1; p + 1 < 2^32
-                sigma *= rem
+            for rem, sig, fv_b, om_b in blocks:
+                big = rem > 1
+                if om_b is not None:
+                    om_b += big
+                if fv_b is not None:
+                    # the rule's value at rem = 1 (0/0 for sigma_over_n) is dropped by the mask
+                    with np.errstate(all="ignore"):
+                        np.multiply(fv_b, fdesc.at_primes(rem), out=fv_b, where=big)
+                if sig is not None:
+                    rem += big  # 1 + p for a leftover prime p, and 1 where rem = 1; p + 1 < 2^32
+                    sig *= rem
             del big  # a generator's locals outlive its yield
         for a in (n, sigma, fv, om):
             if a is not None:

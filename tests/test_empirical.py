@@ -389,9 +389,10 @@ def test_estimate_segment_and_worker_invariance():
 def test_scan_memory_per_segment_slot():
     # a scan computes every segment in one set of buffers and keeps no chunk
     # past its reduction.  Held per slot: n, sigma and f (32 bytes), the
-    # cofactor and the two per-prime scratch halves (16), and the bucket
-    # index and the grid index, which share 8 bytes kept for the whole scan;
-    # while a chunk is reduced, a bincount weight copy (8).
+    # cofactor (4), the two per-prime scratch buffers, one factor per
+    # multiple of 2 in a block of an eighth of the segment (1.5), and the
+    # bucket index and the grid index, which share 8 bytes kept for the
+    # whole scan; while a chunk is reduced, a bincount weight copy (8).
     size = 2 ** 14
     f = parse_spec("lambda:a=1,q=3")
     with oracles.segment_size(size):

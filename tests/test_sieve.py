@@ -5,6 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
+import ddl.sieve
 from ddl.multfunc import catalog_ids, make, parse_spec
 from ddl.sieve import (PRIME_LIMIT, ResourceLimitError, SEGMENT_SIZE, SIEVE_LIMIT, SieveError,
                        _scan, prime_segments, primes_up_to, read_segment_cache, scan_segments,
@@ -161,6 +162,40 @@ def test_buffer_ring_gives_identical_sums(tmp_path):
         assert sigma_sum == int(sigma[lo:lo + size].sum()), lo
     assert len(runs[0]) == 24 and runs[0][-1][0] == 23 * size + 1
     assert runs[0] == runs[1]
+
+
+BLOCKED_SPECS = ["one", "tau", "r", "mu", "lambda:a=1,q=3", "phi_over_n",
+                 "sigma_over_n_pow:re=0,im=2", "quadratic_character:q=3"]
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("size, x", [(5001, 40_000), (100, 20_050)])
+def test_blocked_kernel_is_bitwise_one_ascending_pass(tmp_path, monkeypatch, size, x, cached):
+    # The kernel strikes the small base primes one block at a time, the rest
+    # over the whole segment, then each block's leftover prime.  Every n
+    # still takes its factors in ascending prime order, so the chunks are
+    # byte for byte those of one block holding every base prime: a float f
+    # multiplied in another order differs in the last bit.  A segment of 5001
+    # is 9 blocks of 555 or 556 n, a segment of 100 one block shorter than
+    # the small primes from 101 on, and x ends both scans in a partial segment.
+    assert x % size and isqrt(x) > ddl.sieve._SMALL_PRIME_BOUND
+    cache_dir = None
+    with oracles.segment_size(size):
+        if cached:
+            cache_dir = str(tmp_path)
+            for chunk in scan_segments(x):
+                write_segment_cache(tmp_path, chunk.lo, chunk.hi, chunk.sigma)
+
+        def chunk_bytes(spec):
+            return [[None if a is None else a.tobytes() for a in (c.n, c.sigma, c.fvals, c.omega)]
+                    for c in scan_segments(x, f=parse_spec(spec), with_omega=True,
+                                           cache_dir=cache_dir)]
+
+        blocked = {spec: chunk_bytes(spec) for spec in BLOCKED_SPECS}
+        monkeypatch.setattr(ddl.sieve, "_BLOCKS_PER_SEGMENT", 1)
+        monkeypatch.setattr(ddl.sieve, "_SMALL_PRIME_BOUND", x)
+        for spec in BLOCKED_SPECS:
+            assert blocked[spec] == chunk_bytes(spec), spec
 
 
 @pytest.mark.parametrize("scans", [1, 2])
