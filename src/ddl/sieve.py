@@ -11,7 +11,10 @@ passes (about sum_{p <= sqrt(x)} 1/p ~ 2.5 element-ops per n).  The
 cofactor rem, n with the base primes divided out, is held as uint32: it is
 exact because n <= SIEVE_LIMIT < 2^32, and so is the step below that adds 1
 to a leftover prime, since SIEVE_LIMIT + 1 < 2^32 as well.  The strided
-divisions then move half the bytes of int64.  Each prime's factors for the
+steps then move half the bytes of int64.  rem is divided by an odd p as a
+uint32 multiply by p's inverse mod 2^32, which is exact on multiples of p
+(and by 2 as a shift): numpy's strided integer division takes 2-3 ns an
+element, about three times the multiply.  Each prime's factors for the
 multiples of p, 1 + p + ... + p^j for sigma and f(p^j) for f, are slices of
 two scratch buffers.  What is left in rem is 1 or one prime p above
 sqrt(hi).  sigma takes its factor 1 + p in one unmasked multiply by
@@ -23,9 +26,9 @@ at the base primes are computed once per scan, one vectorized call per
 level j, and shared by every segment.
 
 The kernel is cache-blocked.  A segment's sigma (8 MB), rem (4 MB) and f
-(8 or 16 MB) are far larger than a core's L2 cache (2 MB), so a strided
-pass over them costs about the same for every small p: it is bound by
-memory bandwidth.  Each segment is cut into blocks of equal length (to
+(8 or 16 MB) are far larger than a core's L2 cache (2 MB), so each small
+prime's strided passes over a whole segment stream them in from farther
+out.  Each segment is cut into blocks of equal length (to
 within one) of at most L = SEGMENT_SIZE // 8 = 2^17 n, and worked in three
 steps.  The base primes below B = 128 strike one block at a time, while the
 block's rem, sigma, f and Omega stay in L2.  The base primes from B to
@@ -294,12 +297,12 @@ def scan_segments(x: int, *, f: MultFunc | None = None, with_omega: bool = False
     return _scan(1, int(x), f, with_omega, cache_dir)
 
 
-def _strike(lo, rem, sigma, fv, om, ps, fpow, i0, i1, geo_buf, fp_buf):
+def _strike(lo, rem, sigma, fv, om, ps, pinv, fpow, i0, i1, geo_buf, fp_buf):
     """Divide the base primes ps[i0:i1], in ascending order, out of rem over
     the block [lo, lo + rem.size): multiply each p^j's factor into sigma and
-    fv and add j to om, each skipped when None.  fpow[j - 1][i] is
-    f(ps[i]^j); geo_buf and fp_buf hold one factor per multiple of a prime
-    in the block."""
+    fv and add j to om, each skipped when None.  pinv[i] is ps[i]^-1 mod 2^32
+    (odd primes), fpow[j - 1][i] is f(ps[i]^j); geo_buf and fp_buf hold one
+    factor per multiple of a prime in the block."""
     size = rem.size
     hi = lo + size - 1
     for i in range(i0, i1):
@@ -314,12 +317,21 @@ def _strike(lo, rem, sigma, fv, om, ps, fpow, i0, i1, geo_buf, fp_buf):
         if fv is not None:
             fp = fp_buf[:cnt]
             fp.fill(fpow[0][i])
-        rem[s1::p] //= p
-        if om is not None:
-            om[s1::p] += 1
-        q = p * p
-        j = 2
-        while q <= hi:
+        q, j, se = p, 1, s1
+        while True:
+            # p out of the multiples of p^j: a shift for 2, else a multiply by
+            # p's inverse mod 2^32, exact on multiples of p and several times
+            # faster than a strided integer division
+            if p == 2:
+                rem[se::q] >>= 1
+            else:
+                rem[se::q] *= pinv[i]
+            if om is not None:
+                om[se::q] += 1
+            q *= p
+            j += 1
+            if q > hi:
+                break
             se = (-lo) % q
             if se >= size:
                 break
@@ -329,11 +341,6 @@ def _strike(lo, rem, sigma, fv, om, ps, fpow, i0, i1, geo_buf, fp_buf):
                 geo[k0::st] += q
             if fv is not None:
                 fp[k0::st] = fpow[j - 1][i]
-            rem[se::q] //= p
-            if om is not None:
-                om[se::q] += 1
-            q *= p
-            j += 1
         if sigma is not None:
             sigma[s1::p] *= geo
         if fv is not None:
@@ -353,6 +360,7 @@ def _scan(first, x, f, want_omega, cache_dir):
         fpow.append(fdesc.prime_powers(primes[:cnt], len(fpow) + 1).tolist())
         pw = pw[:cnt] * primes[:cnt]
     ps = primes.tolist()
+    pinv = [pow(p, -1, 1 << 32) if p > 2 else 0 for p in ps]
     small = bisect_left(ps, _SMALL_PRIME_BOUND)
     # The buffer set, sized for the first (longest) segment; a shorter last
     # segment uses its first hi - lo + 1 entries.
@@ -402,8 +410,9 @@ def _scan(first, x, f, want_omega, cache_dir):
                 for a, one in ((sig, 1), (fv_b, 1), (om_b, 0)):
                     if a is not None:
                         a.fill(one)
-                _strike(lo + s.start, rem, sig, fv_b, om_b, ps, fpow, 0, nsmall, geo_buf, fp_buf)
-            _strike(lo, *arrays, ps, fpow, nsmall, nbase, geo_buf, fp_buf)
+                _strike(lo + s.start, rem, sig, fv_b, om_b, ps, pinv, fpow, 0, nsmall, geo_buf,
+                        fp_buf)
+            _strike(lo, *arrays, ps, pinv, fpow, nsmall, nbase, geo_buf, fp_buf)
             # What is left in rem is 1 or one prime above sqrt(hi).
             for rem, sig, fv_b, om_b in blocks:
                 big = rem > 1
