@@ -57,6 +57,7 @@ __all__ = [
 
 MAX_DENOMINATOR = 1_000_000
 _BUCKET_CAP = 1 << 20  # most qualification buckets; D * n < 2^52 for n <= SIEVE_LIMIT
+_QUAL_BLOCK = 1 << 15  # n (or lattice points) qualified and binned at a time
 
 
 class GridError(ValueError):
@@ -158,14 +159,17 @@ def _bucket_tables(grid: ThresholdGrid):
     """(D, lo, hi) with D = min(lcm of the denominators, _BUCKET_CAP), lo[k]
     the first index j with u_j > (k-1)/D and hi[k] the first with
     u_j >= k/D; hi is None when it equals lo, i.e. no threshold lies
-    strictly inside a bucket, as when D is the lcm."""
+    strictly inside a bucket, as when D is the lcm, and lo is then None too
+    when lo[k] = k, as on the default grid and every steps:N grid."""
     D = 1
     for d in set(grid.dens.tolist()):
         D = min(math.lcm(D, d), _BUCKET_CAP)
     scaled, k = grid.nums * D, np.arange(D + 1)
     lo = np.searchsorted(-(-scaled // grid.dens) + 1, k, side="right")  # k < ceil(u_j D) + 1
     hi = np.searchsorted(scaled // grid.dens, k, side="left")  # k <= floor(u_j D)
-    return D, lo, None if np.array_equal(lo, hi) else hi
+    if np.array_equal(lo, hi):
+        return D, None if np.array_equal(lo, k) else lo, None
+    return D, lo, hi
 
 
 def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
@@ -175,23 +179,32 @@ def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
 
     k = ceil(D n / sigma(n)) puts n/sigma(n) in ((k-1)/D, k/D], so the answer
     is lo[k] unless thresholds lie strictly inside that bucket; only those
-    elements step up by exact comparisons, at most to hi[k].  All of it is
-    int64 arithmetic (_check_threshold_products).
+    elements step up by exact comparisons, at most to hi[k], in int64
+    arithmetic (_check_threshold_products).
 
-    k is computed in buf, an int64 array of at least n.size entries.  When no
-    threshold lies inside a bucket (hi None) the gather lo[k] overwrites k in
-    place and the result is a view of buf: each k is read before its slot is
-    written, and 1 <= k <= D because sigma(n) >= n, so every k indexes lo and
-    mode="clip" never clips (mode="raise" would copy out first).  The capped
-    path reads k after the gather and keeps its indices apart.
+    k is computed in buf, an int64 array of at least n.size entries, as the
+    ceiling of one float64 division, D n / sigma, through a float64 view of
+    the same memory.  That is exact: D n < 2^52 and sigma < 2^53 are exact
+    floats, and the division rounds once, by at most half an ulp of the
+    quotient, below (D n / sigma) 2^-53 < 1 / (2 sigma).  An integer
+    quotient is exact, so it is returned unrounded; any other lies at least
+    1/sigma from every integer, so the rounding cannot carry it across one.
+    When no threshold lies inside a bucket (hi None) the gather lo[k]
+    overwrites k in place and the result is a view of buf: each k is read
+    before its slot is written, and 1 <= k <= D because sigma(n) >= n, so
+    every k indexes lo and mode="clip" never clips (mode="raise" would copy
+    out first).  With lo None the result is k itself.  The capped path
+    reads k after the gather and keeps its indices apart.
     """
     D, lo, hi = tables
-    k = np.multiply(n, D, out=buf[:n.size])  # then ceil in place
-    k += sigma
-    k -= 1
-    k //= sigma
+    k = buf[:n.size]
+    q = k.view(np.float64)
+    np.multiply(n, D, out=q)
+    q /= sigma
+    np.ceil(q, out=q)
+    k[...] = q  # from the same memory, element by element: no copy
     if hi is None:
-        return np.take(lo, k, out=k, mode="clip")
+        return k if lo is None else np.take(lo, k, out=k, mode="clip")
     idx = np.take(lo, k)
     act = np.nonzero(idx < np.take(hi, k))[0]
     while act.size:
@@ -231,8 +244,8 @@ class WeightedCdfEstimate:
 
 def _weighted_sum(fv, vals=None, *, sel=None, bins=None, m=0):
     """One chunk's sum of f(n) * vals(n) over the n that the mask sel picks
-    (all n when None), with vals = 1 when None; given bins, one per picked n,
-    its bincount into m slots instead.
+    (all n when None), with vals = 1 when None; given bins, one per n and
+    with f = 1, its count per bin in m slots instead.
 
     fv = None stands for f = 1: a count is then an exact int64 (a plain count
     needs sel).  A real f gives float64 sums and a complex f complex128 ones.
@@ -243,11 +256,6 @@ def _weighted_sum(fv, vals=None, *, sel=None, bins=None, m=0):
         return np.count_nonzero(sel) if vals is None else vals.sum()
     if sel is not None:
         fv = fv[sel]
-    if bins is not None:
-        part = np.bincount(bins, weights=fv.real, minlength=m)
-        if np.iscomplexobj(fv):
-            part = part + 1j * np.bincount(bins, weights=fv.imag, minlength=m)
-        return part
     return fv.sum() if vals is None else np.sum(fv * vals)
 
 
@@ -277,17 +285,26 @@ def _threshold_sums(f, x, grid, points=None, **scan_kw):
         grid = ThresholdGrid.default()
     _check_threshold_products(x, grid)
     tables, m = _bucket_tables(grid), len(grid) + 1
-    buf = np.empty(0, dtype=np.int64)  # k, then the grid index: one per n or point
+    buf = np.empty(_QUAL_BLOCK, dtype=np.int64)  # k, then the grid index, of one block
 
     def histogram(chunk):
-        nonlocal buf
         n, sigma = (chunk.n, chunk.sigma) if points is None else points(chunk)
-        if buf.size < n.size:
-            # a segment's worth: about 0.79 lattice points per n, so only a short
-            # segment with more points than n replaces it
-            buf = np.empty(max(n.size, chunk.n.size), dtype=np.int64)
-        idx = _first_qualifying(n, sigma, grid, tables, buf)
-        return _weighted_sum(chunk.fvals, bins=idx, m=m)
+        fv = chunk.fvals
+        cplx = fv is not None and np.iscomplexobj(fv)
+        # a count per bin, or f's sum per bin, its real and imaginary parts apart
+        acc = np.zeros(m, dtype=np.int64 if fv is None else np.float64)
+        acc_im = np.zeros(m) if cplx else None
+        for s in range(0, n.size, _QUAL_BLOCK):
+            b = slice(s, s + _QUAL_BLOCK)
+            idx = _first_qualifying(n[b], sigma[b], grid, tables, buf)
+            if fv is None:
+                acc += _weighted_sum(None, bins=idx, m=m)
+            elif cplx:
+                np.add.at(acc, idx, fv[b].real)
+                np.add.at(acc_im, idx, fv[b].imag)
+            else:
+                np.add.at(acc, idx, fv[b])
+        return acc + 1j * acc_im if cplx else acc
     # raw[j] sums bins 0..j, the n meeting u_j; the last bin holds those meeting none
     ext = np.cumsum(_scan_sum(x, histogram, f=f, **scan_kw))
     return x, grid, ext[:-1].astype(np.complex128), ext[-1]

@@ -117,6 +117,10 @@ SEGMENT_SIZE = 1 << 20
 # larger ones into the whole segment (see the module docstring).
 _SMALL_PRIME_BOUND = 128
 _BLOCKS_PER_SEGMENT = 8
+# f's rule at the leftover primes runs on at most _F_STEP n at a time, so that
+# its temporaries (8 to 16 bytes per n each) stay under glibc's 128 KiB mmap
+# threshold (see the module docstring).
+_F_STEP = 1 << 12
 
 # Upper bound on sieved n.  sigma(n) < n (1 + ln n) keeps every threshold
 # product num * sigma(n) with num <= 10^6 far below 2^63, and lets cache
@@ -419,9 +423,15 @@ def _scan(first, x, f, want_omega, cache_dir):
                 if om_b is not None:
                     om_b += big
                 if fv_b is not None:
-                    # the rule's value at rem = 1 (0/0 for sigma_over_n) is dropped by the mask
-                    with np.errstate(all="ignore"):
-                        np.multiply(fv_b, fdesc.at_primes(rem), out=fv_b, where=big)
+                    # the rule's value at rem = 1 (0/0 for sigma_over_n) is dropped by
+                    # the mask; it runs on ceil(size / _F_STEP) sub-blocks of equal
+                    # length (to within one), none of one n unless the block is
+                    j = -(-rem.size // _F_STEP)
+                    for t in range(j):
+                        u = slice(rem.size * t // j, rem.size * (t + 1) // j)
+                        fu = fv_b[u]
+                        with np.errstate(all="ignore"):
+                            np.multiply(fu, fdesc.at_primes(rem[u]), out=fu, where=big[u])
                 if sig is not None:
                     rem += big  # 1 + p for a leftover prime p, and 1 where rem = 1; p + 1 < 2^32
                     sig *= rem

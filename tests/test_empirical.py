@@ -225,11 +225,13 @@ def test_first_qualifying_matches_brute(kind, qual_sigma):
 
 def test_first_qualifying_gathers_in_the_given_buffer():
     # with D the lcm, the grid index overwrites the bucket index in place: the
-    # result is a view of the buffer and no n-sized array is allocated
+    # result is a view of the buffer and no n-sized array is allocated.  On
+    # the default grid the table is the identity, recorded as lo None.
     size = 2 ** 20
     grid = ThresholdGrid.default()  # u_j = j/200, so the answer is ceil(200 n / sigma)
     tables = _bucket_tables(grid)
-    assert tables[0] == 200 and tables[2] is None
+    assert tables == (200, None, None)
+    assert _bucket_tables(ThresholdGrid.parse("steps:7"))[1:] == (None, None)
     n = np.arange(1, size + 1, dtype=np.int64)
     sigma = sigma_table(size)[1:]
     buf = np.empty(size, dtype=np.int64)
@@ -246,6 +248,34 @@ def test_first_qualifying_gathers_in_the_given_buffer():
 
 def test_bucket_products_fit_int64():
     assert _BUCKET_CAP * SIEVE_LIMIT < 2 ** 62
+
+
+def test_bucket_products_are_exact_floats():
+    # the float quotient D n / sigma is exact only while D n is an exact float
+    assert _BUCKET_CAP * SIEVE_LIMIT < 2 ** 52
+
+
+def test_first_qualifying_float_quotient_is_exact():
+    # k = ceil(D n / sigma) is the ceiling of one float64 division; with the
+    # identity table of the grid k/D (lo and hi None) it is the result.  It is
+    # checked against Python ints on constructed (n, sigma, D): sigma dividing
+    # D n and D n = +-1 (mod sigma), n up to SIEVE_LIMIT, D up to _BUCKET_CAP.
+    # Two roundings miss: D (n / sigma) on n = 11880 and n (D / sigma) on
+    # n = 15 at D = 200, both with the real sigma(n), which divides 200 n.
+    cases = [(n, oracles.sigma_brute(n), 200) for n in (15, 11880, 411264)]
+    for D in (1, 2, 3, 200, 420, 999_983, _BUCKET_CAP - 1, _BUCKET_CAP):
+        for n in (1, 2, 3, 15, 11880, 720_720, SIEVE_LIMIT // 7, SIEVE_LIMIT - 1, SIEVE_LIMIT):
+            for k in {1, 2, 3, 7, 200, D // 3, D - 1, D}:
+                for dn in (D * n - 1, D * n, D * n + 1):  # D n = k sigma + (-1, 0, 1)
+                    if k >= 1 and dn % k == 0 and dn // k >= n:
+                        cases.append((n, dn // k, D))
+    rests = {(D * n + 1) % sigma - 1 for n, sigma, D in cases if sigma > 2}
+    assert {-1, 0, 1} <= rests  # D n mod sigma
+    assert any(n == SIEVE_LIMIT and D == _BUCKET_CAP for n, _, D in cases)
+    for D in {D for _, _, D in cases}:
+        n, sigma = (np.array(v, dtype=np.int64) for v in zip(*[c[:2] for c in cases if c[2] == D]))
+        got = _first_qualifying(n, sigma, None, (D, None, None), np.empty(n.size, dtype=np.int64))
+        assert got.tolist() == [-(-D * a // b) for a, b in zip(n.tolist(), sigma.tolist())], D
 
 
 def test_squares_upto_is_exact_to_sieve_limit():
@@ -389,10 +419,9 @@ def test_estimate_segment_and_worker_invariance():
 def test_scan_memory_per_segment_slot():
     # a scan computes every segment in one set of buffers and keeps no chunk
     # past its reduction.  Held per slot: n, sigma and f (32 bytes), the
-    # cofactor (4), the two per-prime scratch buffers, one factor per
-    # multiple of 2 in a block of an eighth of the segment (1.5), and the
-    # bucket index and the grid index, which share 8 bytes kept for the
-    # whole scan; while a chunk is reduced, a bincount weight copy (8).
+    # cofactor (4) and the two per-prime scratch buffers, one factor per
+    # multiple of 2 in a block of an eighth of the segment (1.5).  The
+    # bucket and grid index of one qualification block are not per slot.
     size = 2 ** 14
     f = parse_spec("lambda:a=1,q=3")
     with oracles.segment_size(size):
@@ -404,6 +433,64 @@ def test_scan_memory_per_segment_slot():
         finally:
             tracemalloc.stop()
     assert peak <= 80 * size
+
+
+REDUCER_X = 6000
+REDUCER_GRIDS = ["default", "0,1/4,2/5,1/2,3/5,9/10,1", "1/999983,1/2,999982/999983"]
+
+
+@pytest.fixture(scope="module")
+def reducer_bins():
+    """Per grid spec, the oracle's first qualifying index of each n <= REDUCER_X."""
+    sig = oracles.sigma_table_brute(REDUCER_X)
+    bins = {}
+    for spec in REDUCER_GRIDS:
+        fr = oracles.grid_fractions(ThresholdGrid.parse(spec))
+        bins[spec] = np.array([0] + [oracles.brute_first_qualifying(n, int(sig[n]), fr)
+                                     for n in range(1, REDUCER_X + 1)])
+    return bins
+
+
+@pytest.mark.parametrize("grid_spec", REDUCER_GRIDS)
+@pytest.mark.parametrize("spec", ["one", "tau", "lambda:a=1,q=3", "phi_over_n", "lattice"])
+def test_blocked_reducer_is_bitwise_one_bincount_per_chunk(monkeypatch, reducer_bins, spec,
+                                                           grid_spec):
+    # Qualification goes block by block, and a float f is added per bin with
+    # np.add.at in n order, as one bincount over the chunk adds: the sums are
+    # the same bits.  Blocks of 700 end part-way through segments of 2500 n
+    # (about 1970 lattice points) and through the last, partial segment.
+    # The default grid's table is the identity, the comma grid's is not, and
+    # the third grid's D is capped.
+    grid = ThresholdGrid.parse(grid_spec)
+    bins, m = reducer_bins[grid_spec], len(grid) + 1
+    monkeypatch.setattr(ddl.empirical, "_QUAL_BLOCK", 700)
+    with oracles.segment_size(2500):
+        if spec == "lattice":
+            got = lattice_circle_cdf(REDUCER_X, grid)
+        elif spec == "tau":
+            got = estimate_normalized_cdf(make(spec), REDUCER_X, grid)
+        else:
+            got = estimate_weighted_cdf(parse_spec(spec), REDUCER_X, grid)
+        total = 0
+        for chunk in ddl.scan_segments(REDUCER_X, f=None if spec == "lattice" else parse_spec(spec)):
+            b, fv = bins[chunk.n], chunk.fvals
+            if spec == "lattice":  # one bin per point (a, y), a >= 1, y >= 0
+                quarter = [sum(1 for a in range(1, math.isqrt(n) + 1)
+                               if math.isqrt(n - a * a) ** 2 == n - a * a)
+                           for n in chunk.n.tolist()]
+                part = np.bincount(np.repeat(b, quarter), minlength=m)
+            elif fv is None:
+                part = np.bincount(b, minlength=m)
+            else:
+                part = np.bincount(b, weights=fv.real, minlength=m)
+                if np.iscomplexobj(fv):
+                    part = part + 1j * np.bincount(b, weights=fv.imag, minlength=m)
+            total = total + part
+    ext = np.cumsum(total)
+    want = ext[:-1].astype(np.complex128)
+    assert got.raw.tobytes() == (4 * want if spec == "lattice" else want).tobytes()
+    if spec == "tau":
+        assert got.normalizer == float(ext[-1].real)
 
 
 PROPERTY_X = 3000

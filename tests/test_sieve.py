@@ -178,7 +178,11 @@ def test_blocked_kernel_is_bitwise_one_ascending_pass(tmp_path, monkeypatch, siz
     # multiplied in another order differs in the last bit.  A segment of 5001
     # is 9 blocks of 555 or 556 n, a segment of 100 one block shorter than
     # the small primes from 101 on, and x ends both scans in a partial segment.
+    # f's rule at the leftover primes runs on sub-blocks of at most 111 n
+    # (5 or 6 per block), against one pass in the reference: an in-place
+    # complex multiply of a one-element sub-block would round differently.
     assert x % size and isqrt(x) > ddl.sieve._SMALL_PRIME_BOUND
+    monkeypatch.setattr(ddl.sieve, "_F_STEP", 111)
     cache_dir = None
     with oracles.segment_size(size):
         if cached:
@@ -194,6 +198,7 @@ def test_blocked_kernel_is_bitwise_one_ascending_pass(tmp_path, monkeypatch, siz
         blocked = {spec: chunk_bytes(spec) for spec in BLOCKED_SPECS}
         monkeypatch.setattr(ddl.sieve, "_BLOCKS_PER_SEGMENT", 1)
         monkeypatch.setattr(ddl.sieve, "_SMALL_PRIME_BOUND", x)
+        monkeypatch.setattr(ddl.sieve, "_F_STEP", x)
         for spec in BLOCKED_SPECS:
             assert blocked[spec] == chunk_bytes(spec), spec
 
