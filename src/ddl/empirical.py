@@ -2,19 +2,32 @@
 
 The central estimator accumulates, for each rational threshold u = num/den in
 a grid, the sum of f(n) over n <= x with n * den <= num * sigma(n).  The
-qualification test is done in exact integer arithmetic.  With D the lcm of
-the grid denominators (capped at _BUCKET_CAP), the integer bucket
-k = ceil(D n / sigma(n)) indexes a table, built once per grid, of the first
-grid index j with u_j > (k-1)/D.  That is the answer unless a threshold lies
-strictly inside the bucket, which needs the cap; those n alone step up by
-exact comparisons n * den <= num * sigma(n), never past the first index with
-u_j >= k/D.  No floating-point rounding can change a raw count.  With D
-the lcm, the table lookup overwrites k in place, in one int64 buffer that
-the estimate keeps for its whole scan, one slot per n of a segment (a
-short segment with more lattice points than n replaces it).  So
-qualification allocates no segment-sized array after the first chunk, and
-no freed array is handed back to the kernel and faulted in again one
-segment later.
+qualification test is exact.  With D the lcm of the grid denominators
+(capped at _BUCKET_CAP), the integer bucket k = ceil(D n / sigma(n)) indexes
+a table, built once per grid, of the first grid index j with
+u_j > (k-1)/D.  That is the answer unless a threshold lies strictly inside
+the bucket, which needs the cap; those n alone step up by exact int64
+comparisons n * den <= num * sigma(n), never past the first index with
+u_j >= k/D.  k is the ceiling of one float64 division, D n / sigma, and
+that is exact: D n < 2^52 (_BUCKET_CAP * SIEVE_LIMIT) and sigma < 2^53 are
+exact floats, and IEEE division rounds once, by at most half an ulp of the
+quotient, which is below (D n / sigma) 2^-53 < 1 / (2 sigma).  An integer
+quotient is therefore returned exactly, and any other lies at least
+1/sigma from every integer, so its ceiling cannot move.  Two roundings
+would not do: D (n / sigma) misses on n = 11880 and n (D / sigma) on
+n = 15, both on the default grid (D = 200).  So no floating-point rounding
+can change a raw count.  When the table is the identity, lo[k] = k as on
+the default grid and every steps:N grid, it is recorded once as None and
+the lookup is skipped; otherwise, with D the lcm, the lookup overwrites k
+in place.  A chunk is qualified and binned in blocks of _QUAL_BLOCK = 2^15
+n (or lattice points), in one block-sized int64 buffer kept for the whole
+scan, whose float64 view holds the quotient.  So qualification allocates
+no segment-sized array, and no freed array is handed back to the kernel
+and faulted in again one segment later.  Counts take one bincount per
+block, exact in int64.  A float f is added into the chunk's sums with
+np.add.at, its real and imaginary parts apart, element by element in n
+order, which is the order one bincount over the chunk adds in: the sums
+are the same bits as one pass.
 Two normalizations are provided: by x (plain density) and by S(f;x) =
 sum_{n<=x} f(n) (self-normalized, so the value at u = 1 is exactly 1).
 
@@ -23,9 +36,10 @@ estimates, equidistribution tallies of Omega(n) mod q and of coprime residue
 classes, and a partial-summation identity check.
 
 Every statistic is one pass of _scan_sum: a reducer maps each scan chunk to
-its weighted sum of f(n) w(n), binned by np.bincount or plain by np.sum,
-through the one rule _weighted_sum, and the chunk sums are added in segment
-order.  f = 1 sums, the lattice count among them, are exact int64 counts.
+its weighted sum of f(n) w(n), binned by np.bincount (np.add.at for the
+threshold sums of a float f) or plain by np.sum, through the one rule
+_weighted_sum elsewhere, and the chunk sums are added in segment order.
+f = 1 sums, the lattice count among them, are exact int64 counts.
 Each estimator takes the scan keyword cache_dir of sieve.scan_segments; no
 result depends on it, since the segments and their order are fixed by x.
 """
@@ -184,11 +198,7 @@ def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
 
     k is computed in buf, an int64 array of at least n.size entries, as the
     ceiling of one float64 division, D n / sigma, through a float64 view of
-    the same memory.  That is exact: D n < 2^52 and sigma < 2^53 are exact
-    floats, and the division rounds once, by at most half an ulp of the
-    quotient, below (D n / sigma) 2^-53 < 1 / (2 sigma).  An integer
-    quotient is exact, so it is returned unrounded; any other lies at least
-    1/sigma from every integer, so the rounding cannot carry it across one.
+    the same memory (exact: see the module docstring).
     When no threshold lies inside a bucket (hi None) the gather lo[k]
     overwrites k in place and the result is a view of buf: each k is read
     before its slot is written, and 1 <= k <= D because sigma(n) >= n, so

@@ -33,8 +33,14 @@ within one) of at most L = SEGMENT_SIZE // 8 = 2^17 n, and worked in three
 steps.  The base primes below B = 128 strike one block at a time, while the
 block's rem, sigma, f and Omega stay in L2.  The base primes from B to
 sqrt(hi) then strike the whole segment.  Last, the leftover-prime step runs
-block by block, so the rule's temporaries are a block's worth.  B and L
-were chosen by an in-process sweep over B = 16-512 and L = 2^14-2^19
+block by block, and f's rule in it on sub-blocks of equal length (to
+within one) of at most 2^12 n.  So the rule's temporaries, rem's int64
+copy and the rule's values, 8 to 16 bytes per n each, stay under glibc's
+128 KiB mmap threshold.  A block's 1 MB temporaries are mapped afresh,
+and faulted in again, every block unless an earlier free happens to have
+raised that threshold: a cached tau estimate took 41,600 minor faults
+that way against 6,600 with the sub-blocks (BENCH_qualblock.json).  B and
+L were chosen by an in-process sweep over B = 16-512 and L = 2^14-2^19
 (BENCH_blocked.json).  The order of the steps is fixed: every n takes its
 factors in ascending prime order, then the leftover prime's, as in one
 pass over the segment, so f(n) is the same float product at any block
@@ -45,7 +51,8 @@ sixteenth of the segment.  When a segment has more than one block, each
 block is at least 2 B n long, so each small prime strikes it at least
 twice: numpy rounds an in-place complex multiply of a one-element array
 differently from a longer one, so a single strike could change f's last
-bit.
+bit.  For the same reason no sub-block of the rule is one n long unless
+its block is.
 
 A scan is one generator.  Its locals are the base primes, the f(p^j)
 table and one buffer set (n, sigma, rem, the two scratch buffers, f and
