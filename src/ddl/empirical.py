@@ -16,18 +16,17 @@ quotient is therefore returned exactly, and any other lies at least
 1/sigma from every integer, so its ceiling cannot move.  Two roundings
 would not do: D (n / sigma) misses on n = 11880 and n (D / sigma) on
 n = 15, both on the default grid (D = 200).  So no floating-point rounding
-can change a raw count.  When the table is the identity, lo[k] = k as on
-the default grid and every steps:N grid, it is recorded once as None and
-the lookup is skipped; otherwise, with D the lcm, the lookup overwrites k
-in place.  A chunk is qualified and binned in blocks of _QUAL_BLOCK = 2^15
-n (or lattice points), in one block-sized int64 buffer kept for the whole
+can change a raw count.  With D the lcm, the table lookup overwrites k in
+place.  A chunk is qualified and binned in blocks of _QUAL_BLOCK = 2^15 n
+(or lattice points), in one block-sized int64 buffer kept for the whole
 scan, whose float64 view holds the quotient.  So qualification allocates
 no segment-sized array, and no freed array is handed back to the kernel
 and faulted in again one segment later.  Counts take one bincount per
 block, exact in int64.  A float f is added into the chunk's sums with
-np.add.at, its real and imaginary parts apart, element by element in n
-order, which is the order one bincount over the chunk adds in: the sums
-are the same bits as one pass.
+np.add.at, element by element in n order, which is the order one bincount
+over the chunk adds in: the sums are the same bits as one pass, and a
+complex sum's real and imaginary parts are each added as a real bincount
+of that part would add them.
 Two normalizations are provided: by x (plain density) and by S(f;x) =
 sum_{n<=x} f(n) (self-normalized, so the value at u = 1 is exactly 1).
 
@@ -38,7 +37,8 @@ classes, and a partial-summation identity check.
 Every statistic is one pass of _scan_sum: a reducer maps each scan chunk to
 its weighted sum of f(n) w(n), binned by np.bincount (np.add.at for the
 threshold sums of a float f) or plain by np.sum, through the one rule
-_weighted_sum elsewhere, and the chunk sums are added in segment order.
+_weighted_sum outside the threshold sums, and the chunk sums are added in
+segment order.
 f = 1 sums, the lattice count among them, are exact int64 counts.
 Each estimator takes the scan keyword cache_dir of sieve.scan_segments; no
 result depends on it, since the segments and their order are fixed by x.
@@ -173,17 +173,14 @@ def _bucket_tables(grid: ThresholdGrid):
     """(D, lo, hi) with D = min(lcm of the denominators, _BUCKET_CAP), lo[k]
     the first index j with u_j > (k-1)/D and hi[k] the first with
     u_j >= k/D; hi is None when it equals lo, i.e. no threshold lies
-    strictly inside a bucket, as when D is the lcm, and lo is then None too
-    when lo[k] = k, as on the default grid and every steps:N grid."""
+    strictly inside a bucket, as when D is the lcm."""
     D = 1
     for d in set(grid.dens.tolist()):
         D = min(math.lcm(D, d), _BUCKET_CAP)
     scaled, k = grid.nums * D, np.arange(D + 1)
     lo = np.searchsorted(-(-scaled // grid.dens) + 1, k, side="right")  # k < ceil(u_j D) + 1
     hi = np.searchsorted(scaled // grid.dens, k, side="left")  # k <= floor(u_j D)
-    if np.array_equal(lo, hi):
-        return D, None if np.array_equal(lo, k) else lo, None
-    return D, lo, hi
+    return D, lo, None if np.array_equal(lo, hi) else hi
 
 
 def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
@@ -203,8 +200,8 @@ def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
     overwrites k in place and the result is a view of buf: each k is read
     before its slot is written, and 1 <= k <= D because sigma(n) >= n, so
     every k indexes lo and mode="clip" never clips (mode="raise" would copy
-    out first).  With lo None the result is k itself.  The capped path
-    reads k after the gather and keeps its indices apart.
+    out first).  The capped path reads k after the gather and keeps its
+    indices apart.
     """
     D, lo, hi = tables
     k = buf[:n.size]
@@ -214,7 +211,7 @@ def _first_qualifying(n: np.ndarray, sigma: np.ndarray, grid: ThresholdGrid,
     np.ceil(q, out=q)
     k[...] = q  # from the same memory, element by element: no copy
     if hi is None:
-        return k if lo is None else np.take(lo, k, out=k, mode="clip")
+        return np.take(lo, k, out=k, mode="clip")
     idx = np.take(lo, k)
     act = np.nonzero(idx < np.take(hi, k))[0]
     while act.size:
@@ -300,21 +297,15 @@ def _threshold_sums(f, x, grid, points=None, **scan_kw):
     def histogram(chunk):
         n, sigma = (chunk.n, chunk.sigma) if points is None else points(chunk)
         fv = chunk.fvals
-        cplx = fv is not None and np.iscomplexobj(fv)
-        # a count per bin, or f's sum per bin, its real and imaginary parts apart
-        acc = np.zeros(m, dtype=np.int64 if fv is None else np.float64)
-        acc_im = np.zeros(m) if cplx else None
+        acc = np.zeros(m, dtype=np.int64 if fv is None else fv.dtype)  # a count or f's sum per bin
         for s in range(0, n.size, _QUAL_BLOCK):
             b = slice(s, s + _QUAL_BLOCK)
             idx = _first_qualifying(n[b], sigma[b], grid, tables, buf)
             if fv is None:
-                acc += _weighted_sum(None, bins=idx, m=m)
-            elif cplx:
-                np.add.at(acc, idx, fv[b].real)
-                np.add.at(acc_im, idx, fv[b].imag)
+                acc += np.bincount(idx, minlength=m)
             else:
                 np.add.at(acc, idx, fv[b])
-        return acc + 1j * acc_im if cplx else acc
+        return acc
     # raw[j] sums bins 0..j, the n meeting u_j; the last bin holds those meeting none
     ext = np.cumsum(_scan_sum(x, histogram, f=f, **scan_kw))
     return x, grid, ext[:-1].astype(np.complex128), ext[-1]

@@ -225,25 +225,28 @@ def test_first_qualifying_matches_brute(kind, qual_sigma):
 
 def test_first_qualifying_gathers_in_the_given_buffer():
     # with D the lcm, the grid index overwrites the bucket index in place: the
-    # result is a view of the buffer and no n-sized array is allocated.  On
-    # the default grid the table is the identity, recorded as lo None.
+    # result is a view of the buffer and no n-sized array is allocated.  The
+    # default grid's table is the identity (u_j = j/200); the other's, with
+    # D = 420, is not.
     size = 2 ** 20
-    grid = ThresholdGrid.default()  # u_j = j/200, so the answer is ceil(200 n / sigma)
-    tables = _bucket_tables(grid)
-    assert tables == (200, None, None)
-    assert _bucket_tables(ThresholdGrid.parse("steps:7"))[1:] == (None, None)
     n = np.arange(1, size + 1, dtype=np.int64)
     sigma = sigma_table(size)[1:]
     buf = np.empty(size, dtype=np.int64)
-    tracemalloc.start()
-    try:
-        got = _first_qualifying(n, sigma, grid, tables, buf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.shares_memory(got, buf)
-    assert peak < 2 ** 20
-    assert np.array_equal(got, -(-200 * n // sigma))
+    for spec, want_D in (("default", 200), ("0,1/7,1/4,1/3,2/5,1/2,4/7,3/5,2/3,5/6,1", 420)):
+        grid = ThresholdGrid.parse(spec)
+        tables = _bucket_tables(grid)
+        D, lo, hi = tables
+        assert D == want_D and hi is None
+        assert np.array_equal(lo, np.arange(D + 1)) == (spec == "default")
+        tracemalloc.start()
+        try:
+            got = _first_qualifying(n, sigma, grid, tables, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(got, buf), spec
+        assert peak < 2 ** 20, spec
+        assert np.array_equal(got, lo[-(-D * n // sigma)]), spec
 
 
 def test_bucket_products_fit_int64():
@@ -257,7 +260,7 @@ def test_bucket_products_are_exact_floats():
 
 def test_first_qualifying_float_quotient_is_exact():
     # k = ceil(D n / sigma) is the ceiling of one float64 division; with the
-    # identity table of the grid k/D (lo and hi None) it is the result.  It is
+    # identity table lo[k] = k (and hi None) it is the result.  It is
     # checked against Python ints on constructed (n, sigma, D): sigma dividing
     # D n and D n = +-1 (mod sigma), n up to SIEVE_LIMIT, D up to _BUCKET_CAP.
     # Two roundings miss: D (n / sigma) on n = 11880 and n (D / sigma) on
@@ -274,7 +277,8 @@ def test_first_qualifying_float_quotient_is_exact():
     assert any(n == SIEVE_LIMIT and D == _BUCKET_CAP for n, _, D in cases)
     for D in {D for _, _, D in cases}:
         n, sigma = (np.array(v, dtype=np.int64) for v in zip(*[c[:2] for c in cases if c[2] == D]))
-        got = _first_qualifying(n, sigma, None, (D, None, None), np.empty(n.size, dtype=np.int64))
+        tables = (D, np.arange(D + 1), None)
+        got = _first_qualifying(n, sigma, None, tables, np.empty(n.size, dtype=np.int64))
         assert got.tolist() == [-(-D * a // b) for a, b in zip(n.tolist(), sigma.tolist())], D
 
 
@@ -416,14 +420,17 @@ def test_estimate_segment_and_worker_invariance():
     assert np.array_equal(a.raw, b.raw)
 
 
-def test_scan_memory_per_segment_slot():
+def test_scan_memory_per_segment_slot(monkeypatch):
     # a scan computes every segment in one set of buffers and keeps no chunk
     # past its reduction.  Held per slot: n, sigma and f (32 bytes), the
-    # cofactor (4) and the two per-prime scratch buffers, one factor per
-    # multiple of 2 in a block of an eighth of the segment (1.5).  The
-    # bucket and grid index of one qualification block are not per slot.
+    # cofactor (4), the two per-prime scratch buffers, one factor per
+    # multiple of 2 in a block of an eighth of the segment (1.5), and the
+    # bucket index and the grid index of one qualification block, which
+    # share 8 bytes per n of a thirty-second of the segment (0.25), as at
+    # the production sizes.
     size = 2 ** 14
     f = parse_spec("lambda:a=1,q=3")
+    monkeypatch.setattr(ddl.empirical, "_QUAL_BLOCK", size >> 5)
     with oracles.segment_size(size):
         estimate_weighted_cdf(f, 40 * size)  # the first call's set-up is not counted
         tracemalloc.start()
