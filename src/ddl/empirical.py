@@ -21,12 +21,7 @@ place.  A chunk is qualified and binned in blocks of _QUAL_BLOCK = 2^15 n
 (or lattice points), in one block-sized int64 buffer kept for the whole
 scan, whose float64 view holds the quotient.  So qualification allocates
 no segment-sized array, and no freed array is handed back to the kernel
-and faulted in again one segment later.  Counts take one bincount per
-block, exact in int64.  A float f is added into the chunk's sums with
-np.add.at, element by element in n order, which is the order one bincount
-over the chunk adds in: the sums are the same bits as one pass, and a
-complex sum's real and imaginary parts are each added as a real bincount
-of that part would add them.
+and faulted in again one segment later.
 Two normalizations are provided: by x (plain density) and by S(f;x) =
 sum_{n<=x} f(n) (self-normalized, so the value at u = 1 is exactly 1).
 
@@ -34,12 +29,21 @@ Also here: the lattice-point version for sums of two squares, tent-smoothed
 estimates, equidistribution tallies of Omega(n) mod q and of coprime residue
 classes, and a partial-summation identity check.
 
-Every statistic is one pass of _scan_sum: a reducer maps each scan chunk to
-its weighted sum of f(n) w(n), binned by np.bincount (np.add.at for the
-threshold sums of a float f) or plain by np.sum, through the one rule
-_weighted_sum outside the threshold sums, and the chunk sums are added in
-segment order.
-f = 1 sums, the lattice count among them, are exact int64 counts.
+Every threshold statistic is one pass of that block reducer,
+_threshold_sums: the CDF estimates and the lattice count over their grid,
+equidist and psum-check over the one-point grid {u}.  The bin of n is its
+grid index j; equidist folds its class in place, as j q + (Omega(n) or n)
+mod q, computed in a second kept block buffer, and psum-check adds a second
+row of sums, of f(n) n, written into a third.  Counts and sums take one
+rule, np.add.at(sums, bin, w) with w = 1, f or f n.  It adds element by
+element in n order, the order one bincount over the chunk adds in, so a
+float sum has the bits of one weighted bincount per chunk, and a complex
+sum's real and imaginary parts are each added as a real bincount of that
+part would add them.  Its cost per block does not grow with the number of
+bins, where a bincount's does (equidist has 2q).  Sums of f = 1, the
+lattice count among them, are exact int64 and go straight into the scan's
+total; a float f's sums are taken per chunk and added in segment order.
+The tent of the smoothed estimate is one np.sum per chunk.
 Each estimator takes the scan keyword cache_dir of sieve.scan_segments; no
 result depends on it, since the segments and their order are fixed by x.
 """
@@ -160,15 +164,6 @@ def _check_threshold_products(x: int, grid: ThresholdGrid):
             f"threshold products for x = {x} would overflow 64-bit integers")
 
 
-def _qualifies(u, x: int):
-    """The one-threshold test n/sigma(n) <= u, as a function from a scan chunk
-    to its mask, in exact int64 products; refused as a grid {u} would be,
-    and when those products could overflow for n <= x."""
-    num, den = Fraction(u).as_integer_ratio()
-    _check_threshold_products(x, ThresholdGrid([num], [den]))
-    return lambda chunk: den * chunk.n <= num * chunk.sigma
-
-
 def _bucket_tables(grid: ThresholdGrid):
     """(D, lo, hi) with D = min(lcm of the denominators, _BUCKET_CAP), lo[k]
     the first index j with u_j > (k-1)/D and hi[k] the first with
@@ -249,32 +244,6 @@ class WeightedCdfEstimate:
         return logs, np.asarray(vals[pos].real, dtype=np.float64)
 
 
-def _weighted_sum(fv, vals=None, *, sel=None, bins=None, m=0):
-    """One chunk's sum of f(n) * vals(n) over the n that the mask sel picks
-    (all n when None), with vals = 1 when None; given bins, one per n and
-    with f = 1, its count per bin in m slots instead.
-
-    fv = None stands for f = 1: a count is then an exact int64 (a plain count
-    needs sel).  A real f gives float64 sums and a complex f complex128 ones.
-    """
-    if fv is None:
-        if bins is not None:
-            return np.bincount(bins, minlength=m)
-        return np.count_nonzero(sel) if vals is None else vals.sum()
-    if sel is not None:
-        fv = fv[sel]
-    return fv.sum() if vals is None else np.sum(fv * vals)
-
-
-def _scan_sum(x, reduce, **scan_kw):
-    """The sum of reduce(chunk) over scan_segments(x, **scan_kw), added chunk
-    by chunk in segment order: the same for any cache state."""
-    total = 0
-    for chunk in scan_segments(x, **scan_kw):
-        total = total + reduce(chunk)
-    return total
-
-
 def _squares_upto(v: np.ndarray) -> np.ndarray:
     """#{y >= 0 : y^2 <= v} per element of an int64 array below 2^52: isqrt(v) + 1,
     or 0 for v < 0, from the float root corrected by one step each way."""
@@ -284,38 +253,60 @@ def _squares_upto(v: np.ndarray) -> np.ndarray:
     return r + 1
 
 
-def _threshold_sums(f, x, grid, points=None, **scan_kw):
-    """(x, grid, raw, total): the grid's accumulated sums of f and S(f;x), one
-    pass; given points (f None), sums of 1 over the pairs (n, sigma(n)) it maps a chunk to."""
+def _threshold_sums(f, x, grid, points=None, key=None, q=1, by_n=False, **scan_kw):
+    """(x, grid, sums) with sums[0][i] the sum of f(n) (1 for f None or one,
+    counted in int64) over the n <= x in bin i, and given by_n sums[1][i] that
+    of f(n) n, one pass.  The bin of n is its first qualifying grid index j,
+    len(grid) where none, or j q + (the chunk's key array at n) mod q given
+    key; given points (f None), the pairs (n, sigma(n)) it maps a chunk to."""
     x = int(x)
     if grid is None:
         grid = ThresholdGrid.default()
     _check_threshold_products(x, grid)
-    tables, m = _bucket_tables(grid), len(grid) + 1
-    buf = np.empty(_QUAL_BLOCK, dtype=np.int64)  # k, then the grid index, of one block
-
-    def histogram(chunk):
+    tables, m = _bucket_tables(grid), (len(grid) + 1) * q
+    one = f is None or f.is_one
+    total = np.zeros((1 + by_n, m), dtype=np.int64 if one else f.dtype)
+    # int64 sums are exact in any order and go straight into the total; a
+    # float chunk's sums are added to it chunk by chunk, in segment order
+    acc = total if one else np.zeros_like(total)
+    buf = np.empty(_QUAL_BLOCK, dtype=np.int64)  # k, then the bin, of one block
+    cls = None if key is None else np.empty(_QUAL_BLOCK, dtype=np.int64)  # the class
+    fn = None if one or not by_n else np.empty(_QUAL_BLOCK, dtype=f.dtype)  # f(n) n
+    for chunk in scan_segments(x, f=f, **scan_kw):
         n, sigma = (chunk.n, chunk.sigma) if points is None else points(chunk)
         fv = chunk.fvals
-        acc = np.zeros(m, dtype=np.int64 if fv is None else fv.dtype)  # a count or f's sum per bin
         for s in range(0, n.size, _QUAL_BLOCK):
             b = slice(s, s + _QUAL_BLOCK)
             idx = _first_qualifying(n[b], sigma[b], grid, tables, buf)
-            if fv is None:
-                acc += np.bincount(idx, minlength=m)
-            else:
-                np.add.at(acc, idx, fv[b])
-        return acc
-    # raw[j] sums bins 0..j, the n meeting u_j; the last bin holds those meeting none
-    ext = np.cumsum(_scan_sum(x, histogram, f=f, **scan_kw))
-    return x, grid, ext[:-1].astype(np.complex128), ext[-1]
+            if key is not None:
+                c = cls[:idx.size]
+                c[...] = getattr(chunk, key)[b]
+                c %= q
+                idx *= q
+                idx += c
+            np.add.at(acc[0], idx, 1 if fv is None else fv[b])
+            if by_n:
+                np.add.at(acc[1], idx, n[b] if fv is None
+                          else np.multiply(fv[b], n[b], out=fn[:idx.size]))
+        if acc is not total:
+            total += acc
+            acc[...] = 0
+        del n, sigma  # given points, freed before the next chunk's are built
+    return x, grid, total
+
+
+def _cdf(sums):
+    """(raw, total): raw[j] sums bins 0..j of the first row, the n meeting
+    u_j, as complex128; total sums every bin, the last holding those meeting none."""
+    ext = np.cumsum(sums[0])
+    return ext[:-1].astype(np.complex128), ext[-1]
 
 
 def estimate_weighted_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = None,
                           **scan_kw) -> WeightedCdfEstimate:
     """One-pass estimate of (1/x) sum_{n<=x, n/sigma(n)<=u} f(n) over the grid."""
-    x, grid, raw, _ = _threshold_sums(f, x, grid, **scan_kw)
-    return WeightedCdfEstimate(f.spec_string(), x, grid, raw, float(x), "df")
+    x, grid, sums = _threshold_sums(f, x, grid, **scan_kw)
+    return WeightedCdfEstimate(f.spec_string(), x, grid, _cdf(sums)[0], float(x), "df")
 
 
 def estimate_normalized_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = None,
@@ -323,7 +314,8 @@ def estimate_normalized_cdf(f: MultFunc, x: int, grid: ThresholdGrid | None = No
     """Self-normalized estimate: same sums divided by S(f;x) from the same pass."""
     if not f.nonneg:
         raise ValueError(f"self-normalized mode needs a nonnegative function, not {f.id}")
-    x, grid, raw, total = _threshold_sums(f, x, grid, **scan_kw)
+    x, grid, sums = _threshold_sums(f, x, grid, **scan_kw)
+    raw, total = _cdf(sums)
     normalizer = float(total.real)
     if normalizer == 0.0:
         raise ValueError(f"S(f;x) = 0 for f = {f.id}, x = {x}")
@@ -350,8 +342,9 @@ def lattice_circle_cdf(R: int, grid: ThresholdGrid | None = None,
         sigma = np.take(chunk.sigma, y)
         y += chunk.lo
         return y, sigma
-    R, grid, raw, _ = _threshold_sums(None, R, grid, quarter_plane, **scan_kw)
-    return WeightedCdfEstimate("lattice_two_squares", R, grid, 4 * raw, math.pi * R, "lattice")
+    R, grid, sums = _threshold_sums(None, R, grid, quarter_plane, **scan_kw)
+    return WeightedCdfEstimate("lattice_two_squares", R, grid, 4 * _cdf(sums)[0], math.pi * R,
+                               "lattice")
 
 
 def smoothed_indicator_mean(f: MultFunc, x: int, u, m: int, **scan_kw):
@@ -368,8 +361,8 @@ def smoothed_indicator_mean(f: MultFunc, x: int, u, m: int, **scan_kw):
 
     def tent(chunk):
         w = np.clip(1.0 - m * (chunk.n / chunk.sigma - uf), 0.0, 1.0)
-        return _weighted_sum(chunk.fvals, w)
-    return complex(_scan_sum(x, tent, f=f, **scan_kw)) / x
+        return w.sum() if chunk.fvals is None else np.sum(chunk.fvals * w)
+    return complex(sum(tent(chunk) for chunk in scan_segments(x, f=f, **scan_kw))) / x
 
 
 @dataclass(frozen=True)
@@ -396,16 +389,11 @@ def equidist_tally(mode: str, q: int, u, x: int, **scan_kw) -> EquidistTally:
     if q > MAX_DENOMINATOR:  # one int64 count per class is allocated up front
         raise ResourceLimitError(f"q = {q} over the {MAX_DENOMINATOR} cap")
     u = Fraction(u)
-    x = int(x)
-    qualifies = _qualifies(u, x)
     omega = mode == "omega"
-
-    def tally(chunk):
-        # every residue is tallied; the coprime ones are picked out below
-        qual = qualifies(chunk)
-        key = chunk.omega[qual].astype(np.int64) if omega else chunk.n[qual]
-        return _weighted_sum(None, bins=key % q, m=q)
-    counts = _scan_sum(x, tally, with_omega=omega, **scan_kw)
+    # every residue is tallied; the coprime ones are picked out below
+    x, _, sums = _threshold_sums(None, x, ThresholdGrid([u.numerator], [u.denominator]),
+                                 key="omega" if omega else "n", q=q, with_omega=omega, **scan_kw)
+    counts = sums[0, :q]  # grid index 0: the n with n/sigma(n) <= u
     labels = tuple(c for c in range(q) if omega or math.gcd(c, q) == 1)
     return EquidistTally(mode, q, u, x, labels, counts[list(labels)], int(counts.sum()))
 
@@ -415,13 +403,7 @@ def partial_summation_check(f: MultFunc, x: int, u, **scan_kw):
     rhs = (1/x) sum_{qualifying} f(n), from the same pass.  In the limit
     lhs -> rhs, which is the partial-summation identity for the n-weighted
     sums (both sides tend to the same distribution value)."""
-    x = int(x)
-    qualifies = _qualifies(u, x)
-
-    def pair(chunk):
-        qual = qualifies(chunk)
-        nq = chunk.n[qual].astype(np.float64)
-        return np.array([_weighted_sum(chunk.fvals, nq, sel=qual),
-                         _weighted_sum(chunk.fvals, sel=qual)])
-    lhs, rhs = _scan_sum(x, pair, f=f, **scan_kw)
+    num, den = Fraction(u).as_integer_ratio()
+    x, _, sums = _threshold_sums(f, x, ThresholdGrid([num], [den]), by_n=True, **scan_kw)
+    rhs, lhs = sums[:, 0]  # grid index 0: the n with n/sigma(n) <= u
     return complex(lhs) * 2.0 / (x * float(x)), complex(rhs) / x

@@ -427,19 +427,32 @@ def test_scan_memory_per_segment_slot(monkeypatch):
     # multiple of 2 in a block of an eighth of the segment (1.5), and the
     # bucket index and the grid index of one qualification block, which
     # share 8 bytes per n of a thirty-second of the segment (0.25), as at
-    # the production sizes.
+    # the production sizes.  psum-check and equidist bin through the same
+    # block buffers, with one more block buffer for f(n) n or the class in
+    # place of the estimate's 202 bins, so neither holds more than the
+    # estimate of its f, plus Omega's 2 bytes per slot.
     size = 2 ** 14
-    f = parse_spec("lambda:a=1,q=3")
+    x, f, u = 40 * size, parse_spec("lambda:a=1,q=3"), Fraction(1, 2)
     monkeypatch.setattr(ddl.empirical, "_QUAL_BLOCK", size >> 5)
-    with oracles.segment_size(size):
-        estimate_weighted_cdf(f, 40 * size)  # the first call's set-up is not counted
+
+    def peak(call):
+        call()  # the first call's set-up is not counted
         tracemalloc.start()
         try:
-            estimate_weighted_cdf(f, 40 * size)
-            peak = tracemalloc.get_traced_memory()[1]
+            call()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 80 * size
+    with oracles.segment_size(size):
+        est = peak(lambda: estimate_weighted_cdf(f, x))
+        est_one = peak(lambda: estimate_weighted_cdf(ONE, x))
+        psum = peak(lambda: partial_summation_check(f, x, u))
+        omega = peak(lambda: equidist_tally("omega", 3, u, x))
+        coprime = peak(lambda: equidist_tally("coprime", 3, u, x))
+    assert est <= 80 * size
+    assert psum <= est, (psum / size, est / size)
+    assert omega <= est_one + 2 * size, (omega / size, est_one / size)
+    assert coprime <= est_one, (coprime / size, est_one / size)
 
 
 REDUCER_X = 6000
@@ -451,7 +464,7 @@ def reducer_bins():
     """Per grid spec, the oracle's first qualifying index of each n <= REDUCER_X."""
     sig = oracles.sigma_table_brute(REDUCER_X)
     bins = {}
-    for spec in REDUCER_GRIDS:
+    for spec in [*REDUCER_GRIDS, "1/2"]:
         fr = oracles.grid_fractions(ThresholdGrid.parse(spec))
         bins[spec] = np.array([0] + [oracles.brute_first_qualifying(n, int(sig[n]), fr)
                                      for n in range(1, REDUCER_X + 1)])
@@ -499,6 +512,64 @@ def test_blocked_reducer_is_bitwise_one_bincount_per_chunk(monkeypatch, reducer_
     if spec == "tau":
         assert got.normalizer == float(ext[-1].real)
 
+
+
+@pytest.mark.parametrize("q", [3, 1009])
+@pytest.mark.parametrize("mode", ["omega", "coprime"])
+def test_blocked_equidist_matches_first_qualifying(monkeypatch, reducer_bins, mode, q):
+    # The class is folded into the grid index of {1/2} in place, block by
+    # block; blocks of 700 end part-way through segments of 2500 n, and
+    # q = 1009 has more classes than a block has n.
+    n = np.arange(1, REDUCER_X + 1)
+    qual = n[reducer_bins["1/2"][1:] == 0]
+    keys = [oracles.omega_big_brute(v) % q for v in qual.tolist()] if mode == "omega" else qual % q
+    want = np.bincount(keys, minlength=q)
+    monkeypatch.setattr(ddl.empirical, "_QUAL_BLOCK", 700)
+    with oracles.segment_size(2500):
+        got = equidist_tally(mode, q, Fraction(1, 2), REDUCER_X)
+    labels = [c for c in range(q) if mode == "omega" or math.gcd(c, q) == 1]
+    assert list(got.labels) == labels
+    assert got.counts.tolist() == want[labels].tolist()
+    assert got.qualifying_total == qual.size
+
+
+PSUM_SPECS = ["one", "mu_squared", "phi_over_n", "lambda:a=1,q=3"]
+
+
+@pytest.mark.parametrize("spec", PSUM_SPECS)
+def test_blocked_psum_is_bitwise_one_bincount_per_chunk(monkeypatch, reducer_bins, spec):
+    # f and f(n) n are added per bin with np.add.at in n order, as one
+    # bincount per chunk adds them, in blocks of 700 within segments of 2500 n
+    f = parse_spec(spec)
+    monkeypatch.setattr(ddl.empirical, "_QUAL_BLOCK", 700)
+    with oracles.segment_size(2500):
+        got = partial_summation_check(f, REDUCER_X, Fraction(1, 2))
+        total = 0
+        for chunk in ddl.scan_segments(REDUCER_X, f=f):
+            b, fv = reducer_bins["1/2"][chunk.n], chunk.fvals
+            if fv is None:  # exact int64 sums
+                part = np.array([np.count_nonzero(b == 0), chunk.n[b == 0].sum()])
+            else:
+                part = np.array([np.bincount(b, weights=w.real, minlength=2)[0]
+                                 + 1j * np.bincount(b, weights=w.imag, minlength=2)[0]
+                                 if np.iscomplexobj(w) else np.bincount(b, weights=w, minlength=2)[0]
+                                 for w in (fv, fv * chunk.n)])
+            total = total + part
+    rhs, lhs = total
+    want = (complex(lhs) * 2.0 / (REDUCER_X * float(REDUCER_X)), complex(rhs) / REDUCER_X)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("spec", PSUM_SPECS)
+def test_psum_rhs_is_the_one_point_estimate(spec):
+    # both sums come from the same reducer over the grid {u}; the quotient
+    # goes through Python's complex, as psum-check's does (numpy's complex
+    # division may round differently)
+    f, x, u = parse_spec(spec), 10 ** 5, Fraction(2, 5)
+    with oracles.segment_size(7919):
+        est = estimate_weighted_cdf(f, x, ThresholdGrid([u.numerator], [u.denominator]))
+        rhs = partial_summation_check(f, x, u)[1]
+    assert np.array(rhs).tobytes() == np.array(complex(est.raw[0]) / x).tobytes()
 
 PROPERTY_X = 3000
 PROPERTY_SIGMA = oracles.sigma_table_brute(PROPERTY_X)
