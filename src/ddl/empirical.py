@@ -403,7 +403,8 @@ def partial_summation_check(f: MultFunc, x: int, u, **scan_kw):
     rhs = (1/x) sum_{qualifying} f(n), from the same pass.  In the limit
     lhs -> rhs, which is the partial-summation identity for the n-weighted
     sums (both sides tend to the same distribution value)."""
-    num, den = Fraction(u).as_integer_ratio()
-    x, _, sums = _threshold_sums(f, x, ThresholdGrid([num], [den]), by_n=True, **scan_kw)
+    u = Fraction(u)
+    x, _, sums = _threshold_sums(f, x, ThresholdGrid([u.numerator], [u.denominator]), by_n=True,
+                                 **scan_kw)
     rhs, lhs = sums[:, 0]  # grid index 0: the n with n/sigma(n) <= u
     return complex(lhs) * 2.0 / (x * float(x)), complex(rhs) / x

@@ -513,7 +513,6 @@ def test_blocked_reducer_is_bitwise_one_bincount_per_chunk(monkeypatch, reducer_
         assert got.normalizer == float(ext[-1].real)
 
 
-
 @pytest.mark.parametrize("q", [3, 1009])
 @pytest.mark.parametrize("mode", ["omega", "coprime"])
 def test_blocked_equidist_matches_first_qualifying(monkeypatch, reducer_bins, mode, q):
@@ -541,6 +540,11 @@ def test_blocked_psum_is_bitwise_one_bincount_per_chunk(monkeypatch, reducer_bin
     # f and f(n) n are added per bin with np.add.at in n order, as one
     # bincount per chunk adds them, in blocks of 700 within segments of 2500 n
     f = parse_spec(spec)
+
+    def qualifying_sum(b, w):  # the bin-0 sum of w, a complex w as two real bincounts
+        if np.iscomplexobj(w):
+            return qualifying_sum(b, w.real) + 1j * qualifying_sum(b, w.imag)
+        return np.bincount(b, weights=w, minlength=2)[0]
     monkeypatch.setattr(ddl.empirical, "_QUAL_BLOCK", 700)
     with oracles.segment_size(2500):
         got = partial_summation_check(f, REDUCER_X, Fraction(1, 2))
@@ -550,10 +554,7 @@ def test_blocked_psum_is_bitwise_one_bincount_per_chunk(monkeypatch, reducer_bin
             if fv is None:  # exact int64 sums
                 part = np.array([np.count_nonzero(b == 0), chunk.n[b == 0].sum()])
             else:
-                part = np.array([np.bincount(b, weights=w.real, minlength=2)[0]
-                                 + 1j * np.bincount(b, weights=w.imag, minlength=2)[0]
-                                 if np.iscomplexobj(w) else np.bincount(b, weights=w, minlength=2)[0]
-                                 for w in (fv, fv * chunk.n)])
+                part = np.array([qualifying_sum(b, fv), qualifying_sum(b, fv * chunk.n)])
             total = total + part
     rhs, lhs = total
     want = (complex(lhs) * 2.0 / (REDUCER_X * float(REDUCER_X)), complex(rhs) / REDUCER_X)
@@ -570,6 +571,7 @@ def test_psum_rhs_is_the_one_point_estimate(spec):
         est = estimate_weighted_cdf(f, x, ThresholdGrid([u.numerator], [u.denominator]))
         rhs = partial_summation_check(f, x, u)[1]
     assert np.array(rhs).tobytes() == np.array(complex(est.raw[0]) / x).tobytes()
+
 
 PROPERTY_X = 3000
 PROPERTY_SIGMA = oracles.sigma_table_brute(PROPERTY_X)
